@@ -9,6 +9,7 @@
 //   build/bench/bench_architecture
 #include <cstdio>
 
+#include "fedcat/mediator_source.hpp"
 #include "worlds.hpp"
 
 int main() {
@@ -22,7 +23,7 @@ int main() {
   // CSV source (the heterogeneity of Fig. 1's W/D columns).
   Mediator m2;
   m2.register_wrapper("wm",
-                      std::make_shared<MediatorWrapper>(&tier1.mediator));
+                      fedcat::MediatorSource::in_process(&tier1.mediator));
   m2.register_repository(
       catalog::Repository{"m1", "mediator-1", "disco", "2.0.0.1"},
       net::LatencyModel{0.004, 1e-5, 0});

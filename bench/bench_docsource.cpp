@@ -59,7 +59,7 @@ std::shared_ptr<Mediator> make_mediator(docstore::DocStore* store,
   options.optimizer.enable_project_pushdown = pushdown;
   auto mediator = std::make_shared<Mediator>(options);
   auto dw = std::make_shared<wrapper::DocWrapper>();
-  dw->set_cost_model(wrapper::DocWrapper::CostModel{.enabled = true});
+  dw->set_cost_model(wrapper::ComputeCost{.enabled = true});
   dw->attach_store("rd", store);
   mediator->register_wrapper("wd", std::move(dw));
   mediator->register_repository(

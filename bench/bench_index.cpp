@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
     options.optimizer.enable_bind_join = true;
     Mediator mediator(options);
     auto w = std::make_shared<wrapper::MemDbWrapper>();
-    w->set_cost_model(wrapper::MemDbWrapper::CostModel{.enabled = true});
+    w->set_cost_model(wrapper::ComputeCost{.enabled = true});
     w->attach_database("r0", &db0);
     w->attach_database("r1", &db1);
     mediator.register_wrapper("w0", std::move(w));

@@ -10,7 +10,7 @@
 //            |
 //        mediator M2  ----------- wrapper wl --- local bonus db
 //            |
-//        mediator M1 (remote, via MediatorWrapper)
+//        mediator M1 (remote, via fedcat::MediatorSource)
 //        /        \
 //    wrapper w0   wrapper w0
 //       |             |
@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "core/disco.hpp"
+#include "fedcat/mediator_source.hpp"
 
 int main() {
   using namespace disco;
@@ -59,9 +60,9 @@ int main() {
   bt.insert({Value::string("Sam"), Value::integer(5)});
 
   Mediator m2;
-  auto mediator_wrapper = std::make_shared<MediatorWrapper>(&m1);
-  auto* mw = mediator_wrapper.get();
-  m2.register_wrapper("wm", std::move(mediator_wrapper));
+  auto mediator_source = fedcat::MediatorSource::in_process(&m1);
+  auto* mw = mediator_source.get();
+  m2.register_wrapper("wm", std::move(mediator_source));
   m2.register_repository(
       catalog::Repository{"m1", "mediator-1", "disco", "2.0.0.1"},
       net::LatencyModel{0.005, 0.0001, 0});

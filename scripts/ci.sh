@@ -3,6 +3,7 @@
 # own, and (opt-in) a ThreadSanitizer pass over them.
 #
 #   scripts/ci.sh                 # build + full tests + concurrency label
+#                                 # + smokes + benchmark answer checks
 #   DISCO_TSAN=1 scripts/ci.sh    # additionally rebuild the concurrency
 #                                 # suites under ThreadSanitizer
 #   DISCO_ASAN=1 scripts/ci.sh    # additionally rebuild the obs suite
@@ -39,6 +40,11 @@ cmake --build "$repo/build" -j "$(nproc)" --target bench_index
 echo "== docsource smoke (path probes + pushdown twins, small collection) =="
 cmake --build "$repo/build" -j "$(nproc)" --target bench_docsource
 "$repo/build/bench/bench_docsource" --smoke
+
+echo "== end-to-end benchmark answer checks (every workload, 1 s each) =="
+# Builds e2ebench/ against src/ (Release, into .bench_build) and exits
+# nonzero on any answer mismatch.
+(cd "$repo" && python3 e2ebench/run.py --workload all --seconds 1)
 
 if [[ "${DISCO_TSAN:-0}" != "0" ]]; then
   echo "== ThreadSanitizer pass (concurrency label) =="

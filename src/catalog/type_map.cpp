@@ -43,16 +43,6 @@ std::string TypeMap::to_mediator_attribute(
   return source_name;
 }
 
-Value TypeMap::rename_row_to_mediator(const Value& source_row) const {
-  if (fields_.empty()) return source_row;
-  std::vector<std::pair<std::string, Value>> renamed;
-  renamed.reserve(source_row.fields().size());
-  for (const auto& [name, value] : source_row.fields()) {
-    renamed.emplace_back(to_mediator_attribute(name), value);
-  }
-  return Value::strct(std::move(renamed));
-}
-
 std::string TypeMap::to_odl(const std::string& extent_name) const {
   if (is_identity()) return "";
   std::string out = "((" + source_relation(extent_name) + "=" + extent_name +

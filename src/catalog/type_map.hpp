@@ -20,8 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "value/value.hpp"
-
 namespace disco::catalog {
 
 class TypeMap {
@@ -47,9 +45,6 @@ class TypeMap {
   std::string to_source_attribute(const std::string& mediator_name) const;
   /// Source attribute -> mediator attribute (identity when unmapped).
   std::string to_mediator_attribute(const std::string& source_name) const;
-
-  /// Renames the fields of a source row struct into mediator names.
-  Value rename_row_to_mediator(const Value& source_row) const;
 
   const std::vector<std::pair<std::string, std::string>>& fields() const {
     return fields_;

@@ -7,7 +7,6 @@
 
 #include "core/answer.hpp"            // Answer, QueryStats (§4)
 #include "core/mediator.hpp"          // Mediator — the main entry point
-#include "core/mediator_wrapper.hpp"  // composing mediators (Fig. 1)
 #include "core/system_catalog.hpp"    // the catalog component C (Fig. 1)
 #include "net/network.hpp"            // simulated network & availability
 #include "session/health.hpp"         // circuit breakers & probing

@@ -772,13 +772,10 @@ std::optional<vec::Schema> vec_walk(const physical::PhysicalPtr& node,
       ops->push_back("hash join -> row path");
       return std::nullopt;
     }
-    case physical::POp::MergeJoin:
     case physical::POp::NestedLoopJoin: {
       vec_walk(node->left, catalog, ops);
       vec_walk(node->right, catalog, ops);
-      ops->push_back(node->op == physical::POp::MergeJoin
-                         ? "merge join -> row path"
-                         : "nested-loop join -> row path");
+      ops->push_back("nested-loop join -> row path");
       return std::nullopt;
     }
     case physical::POp::BindJoin: {

@@ -1,5 +1,7 @@
 #include "fedcat/boundary.hpp"
 
+#include <unordered_map>
+
 #include "common/error.hpp"
 #include "oql/printer.hpp"
 
@@ -19,8 +21,10 @@ class Renamer {
   LogicalPtr rename(const LogicalPtr& node) {
     switch (node->op) {
       case LOp::Get: {
-        const wrapper::ExtentBinding& binding = binding_of(node->extent);
+        const wrapper::ExtentBinding& binding =
+            wrapper::binding_of(bindings_, node->extent);
         var_maps_[node->var] = binding.map;
+        rows_.add_struct(node->var, *binding.map);
         return algebra::get(binding.source_relation, node->var);
       }
       case LOp::Filter: {
@@ -47,18 +51,9 @@ class Renamer {
     }
   }
 
-  std::unordered_map<std::string, const catalog::TypeMap*> take_var_maps() {
-    return std::move(var_maps_);
-  }
+  wrapper::RowBuilder take_rows() { return std::move(rows_); }
 
  private:
-  const wrapper::ExtentBinding& binding_of(const std::string& extent) const {
-    auto it = bindings_.find(extent);
-    internal_check(it != bindings_.end(),
-                   "missing binding for extent '" + extent + "'");
-    return it->second;
-  }
-
   oql::ExprPtr rename_expr(const oql::ExprPtr& expr) {
     using oql::ExprKind;
     switch (expr->kind) {
@@ -95,6 +90,7 @@ class Renamer {
 
   const wrapper::BindingMap& bindings_;
   std::unordered_map<std::string, const catalog::TypeMap*> var_maps_;
+  wrapper::RowBuilder rows_ = wrapper::RowBuilder::env();
 };
 
 }  // namespace
@@ -104,27 +100,8 @@ RenamedQuery rename_for_remote(const algebra::LogicalPtr& expr,
   Renamer renamer(bindings);
   RenamedQuery out;
   out.expr = renamer.rename(expr);
-  out.var_maps = renamer.take_var_maps();
+  out.rows = renamer.take_rows();
   return out;
-}
-
-Value rename_rows_to_mediator(
-    const Value& data,
-    const std::unordered_map<std::string, const catalog::TypeMap*>&
-        var_maps) {
-  std::vector<Value> renamed_rows;
-  renamed_rows.reserve(data.size());
-  for (const Value& env : data.items()) {
-    std::vector<std::pair<std::string, Value>> fields;
-    for (const auto& [var, row] : env.fields()) {
-      auto it = var_maps.find(var);
-      internal_check(it != var_maps.end(),
-                     "unknown variable in remote answer");
-      fields.emplace_back(var, it->second->rename_row_to_mediator(row));
-    }
-    renamed_rows.push_back(Value::strct(std::move(fields)));
-  }
-  return Value::bag(std::move(renamed_rows));
 }
 
 }  // namespace disco::fedcat

@@ -1,28 +1,24 @@
-// Mediator-boundary translation, shared by every mediator-as-source
-// wrapper (core/mediator_wrapper.hpp in-process, fedcat/mediator_source
-// for hierarchical federations).
+// Mediator-boundary translation for MediatorSource (fedcat/
+// mediator_source.hpp), the wrapper whose source is another mediator.
 //
 // A pushed logical expression names *this* mediator's extents and
 // attributes; the remote mediator knows them by its own names. The
-// TypeMaps in the BindingMap carry the translation both ways: rename the
-// expression on the way out, rename env-shaped rows on the way back.
+// TypeMaps in the BindingMap carry the translation both ways: this file
+// renames the expression on the way out and sets up the RowBuilder
+// (wrapper/rows.hpp) that renames env-shaped rows on the way back.
 #pragma once
 
-#include <string>
-#include <unordered_map>
-
 #include "algebra/logical.hpp"
-#include "catalog/type_map.hpp"
-#include "value/value.hpp"
+#include "wrapper/rows.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace disco::fedcat {
 
 /// A logical expression rewritten into the remote name space, plus the
-/// per-variable maps needed to rename answer rows back.
+/// builder that renames its env-shaped answer rows back.
 struct RenamedQuery {
   algebra::LogicalPtr expr;
-  std::unordered_map<std::string, const catalog::TypeMap*> var_maps;
+  wrapper::RowBuilder rows = wrapper::RowBuilder::env();
 };
 
 /// Rewrites extent and attribute names through the bindings. Throws
@@ -30,12 +26,5 @@ struct RenamedQuery {
 /// that cannot cross the mediator boundary (union, const, aggregates).
 RenamedQuery rename_for_remote(const algebra::LogicalPtr& expr,
                                const wrapper::BindingMap& bindings);
-
-/// Renames an env-shaped answer (bag of struct(var: row)) from remote
-/// attribute names back into this mediator's names, per var_maps.
-Value rename_rows_to_mediator(
-    const Value& data,
-    const std::unordered_map<std::string, const catalog::TypeMap*>&
-        var_maps);
 
 }  // namespace disco::fedcat

@@ -49,7 +49,14 @@ class RemoteBackend {
 
 }  // namespace
 
-MediatorSource::MediatorSource(QueryFn query) : query_(std::move(query)) {}
+MediatorSource::MediatorSource(QueryFn query)
+    : query_(std::move(query)),
+      grammar_(grammar::CapabilitySet{.get = true,
+                                      .project = true,
+                                      .select = true,
+                                      .join = true,
+                                      .compose = true}
+                   .to_grammar()) {}
 
 std::shared_ptr<MediatorSource> MediatorSource::in_process(Mediator* remote) {
   internal_check(remote != nullptr, "MediatorSource needs a mediator");
@@ -64,19 +71,18 @@ std::shared_ptr<MediatorSource> MediatorSource::connect(
       [backend](const std::string& oql) { return backend->query(oql); }));
 }
 
-grammar::Grammar MediatorSource::capabilities() const {
-  return grammar::CapabilitySet{.get = true,
-                                .project = true,
-                                .select = true,
-                                .join = true,
-                                .compose = true}
-      .to_grammar();
-}
+grammar::Grammar MediatorSource::capabilities() const { return grammar_; }
 
 wrapper::SubmitResult MediatorSource::submit(
     const catalog::Repository& repository, const algebra::LogicalPtr& expr,
     const wrapper::BindingMap& bindings) {
   (void)repository;
+  // Run-time capability check (§2.1: "At run-time, the wrapper checks").
+  if (!grammar_.accepts(expr)) {
+    return wrapper::SubmitResult::refused(
+        "expression rejected by the mediator capability grammar: " +
+        algebra::to_algebra_string(expr));
+  }
   RenamedQuery renamed;
   try {
     renamed = rename_for_remote(expr, bindings);
@@ -98,11 +104,15 @@ wrapper::SubmitResult MediatorSource::submit(
 
   // Env-shaped results carry remote attribute names inside each
   // variable's row; rename them back into this mediator's name space.
-  if (expr->op != algebra::LOp::Project) {
-    return wrapper::SubmitResult::ok(
-        rename_rows_to_mediator(answer.data(), renamed.var_maps));
+  if (expr->op == algebra::LOp::Project) {
+    return wrapper::SubmitResult::ok(answer.data());
   }
-  return wrapper::SubmitResult::ok(answer.data());
+  std::vector<Value> items;
+  items.reserve(answer.data().size());
+  for (const Value& env : answer.data().items()) {
+    items.push_back(renamed.rows.from_env(env));
+  }
+  return wrapper::SubmitResult::ok(Value::bag(std::move(items)));
 }
 
 }  // namespace disco::fedcat

@@ -1,18 +1,22 @@
 // Hierarchical federation (src/fedcat/): a mediator as a data source.
 //
-// Figure 1's composition arrow, generalized: MediatorSource is a
-// wrapper::Wrapper whose "repository" is another *mediator* — either an
-// in-process Mediator object or a mediator daemon reached over the wire
-// (src/server/). A root mediator registers extents whose wrapper is a
-// MediatorSource; pushed logical expressions are renamed through the
-// type maps (fedcat/boundary.hpp), shipped as OQL (mediators share the
-// language), and the answer rows are renamed back. Federations thus
-// compose into trees: each child mediator aggregates its own thousands
-// of sources, and the root's catalog holds one extent per child.
+// Figure 1's composition arrow ("permits mediators to be combined,
+// providing a mechanism to deal with the complexity introduced by a large
+// number of data sources"): MediatorSource is a wrapper::Wrapper whose
+// "repository" is another *mediator* — either an in-process Mediator
+// object or a mediator daemon reached over the wire (src/server/). A
+// root mediator registers extents whose wrapper is a MediatorSource;
+// pushed logical expressions are renamed through the type maps
+// (fedcat/boundary.hpp), shipped as OQL (mediators share the language,
+// so the "foreign language" here is OQL itself), and the answer rows are
+// renamed back through the shared row builder (wrapper/rows.hpp).
+// Federations thus compose into trees: each child mediator aggregates
+// its own thousands of sources, and the root's catalog holds one extent
+// per child.
 //
-// Like the in-process MediatorWrapper, the remote mediator must answer
-// *completely*: a remote partial answer raises ExecutionError (residuals
-// would mix two mediators' name spaces — the §6.2 open question). Over
+// The remote mediator must answer *completely*: a remote partial answer
+// raises ExecutionError (residuals would mix two mediators' name spaces —
+// the same open question the paper leaves for future work in §6.2). Over
 // the wire the source subscribes at submit and blocks for the COMPLETE
 // push, so the child's own §4 resubmission machinery is free to finish
 // partial answers within the deadline.
@@ -67,6 +71,7 @@ class MediatorSource : public wrapper::Wrapper {
   explicit MediatorSource(QueryFn query);
 
   QueryFn query_;
+  grammar::Grammar grammar_;
   mutable std::mutex last_oql_mutex_;
   std::string last_oql_;
 };

@@ -63,7 +63,9 @@ void Histogram::observe(double value) {
   sum_micro_.fetch_add(micro, std::memory_order_relaxed);
   fetch_min(min_micro_, micro);
   fetch_max(max_micro_, micro);
-  buckets_[bucket_for(micro)].fetch_add(1, std::memory_order_relaxed);
+  // Release pairs with snapshot()'s acquire: a reader that sees this
+  // bucket increment also sees the count increment before it.
+  buckets_[bucket_for(micro)].fetch_add(1, std::memory_order_release);
 }
 
 double Histogram::bucket_bound(size_t index) {
@@ -72,6 +74,12 @@ double Histogram::bucket_bound(size_t index) {
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
+  // Buckets before count (see observe()): the bucket total never exceeds
+  // the count in one snapshot.
+  snap.buckets.resize(kBuckets);
+  for (size_t i = 0; i < kBuckets; ++i) {
+    snap.buckets[i] = buckets_[i].load(std::memory_order_acquire);
+  }
   snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = static_cast<double>(sum_micro_.load(std::memory_order_relaxed)) *
              1e-6;
@@ -79,10 +87,6 @@ Histogram::Snapshot Histogram::snapshot() const {
   snap.min = lo == UINT64_MAX ? 0 : static_cast<double>(lo) * 1e-6;
   snap.max =
       static_cast<double>(max_micro_.load(std::memory_order_relaxed)) * 1e-6;
-  snap.buckets.resize(kBuckets);
-  for (size_t i = 0; i < kBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
   return snap;
 }
 

@@ -1,7 +1,6 @@
 #include "optimizer/optimizer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <set>
@@ -10,7 +9,6 @@
 #include "common/error.hpp"
 #include "optimizer/typecheck.hpp"
 #include "oql/printer.hpp"
-#include "vec/ops.hpp"
 
 namespace disco::optimizer {
 
@@ -64,17 +62,6 @@ class Coster {
         Cost r = cost(node->right);
         return Cost{std::max(l.net_s, r.net_s),
                     l.cpu_s + r.cpu_s + (l.rows + r.rows) * kCpuPerRow,
-                    l.rows * r.rows * kJoinSelectivity};
-      }
-      case physical::POp::MergeJoin: {
-        Cost l = cost(node->left);
-        Cost r = cost(node->right);
-        auto nlogn = [](double n) {
-          return n * std::log2(std::max(n, 2.0));
-        };
-        return Cost{std::max(l.net_s, r.net_s),
-                    l.cpu_s + r.cpu_s +
-                        (nlogn(l.rows) + nlogn(r.rows)) * kCpuPerRow,
                     l.rows * r.rows * kJoinSelectivity};
       }
       case physical::POp::NestedLoopJoin: {
@@ -494,17 +481,6 @@ physical::PhysicalPtr Optimizer::implement(const LogicalPtr& node) const {
         residual.push_back(conjunct);
       }
       if (left_key != nullptr) {
-        // Vec mode steers batchable equi joins to the (vectorized) hash
-        // join; merge join has no batch implementation.
-        const bool vec_hash_join = options_.vec &&
-                                   vec::vec_batchable(node->left) &&
-                                   vec::vec_batchable(node->right);
-        if (options_.prefer_merge_join && !vec_hash_join) {
-          return physical::make_merge_join(std::move(left),
-                                           std::move(right), left_key,
-                                           right_key,
-                                           oql::conjoin(residual), node);
-        }
         return physical::make_hash_join(std::move(left), std::move(right),
                                         left_key, right_key,
                                         oql::conjoin(residual), node);

@@ -17,8 +17,6 @@ const char* to_string(POp op) {
       return "mkproj";
     case POp::HashJoin:
       return "hashjoin";
-    case POp::MergeJoin:
-      return "mergejoin";
     case POp::NestedLoopJoin:
       return "nljoin";
     case POp::BindJoin:
@@ -95,22 +93,6 @@ PhysicalPtr make_hash_join(PhysicalPtr left, PhysicalPtr right,
   return node;
 }
 
-PhysicalPtr make_merge_join(PhysicalPtr left, PhysicalPtr right,
-                            oql::ExprPtr left_key, oql::ExprPtr right_key,
-                            oql::ExprPtr residual_predicate,
-                            algebra::LogicalPtr logical) {
-  internal_check(left != nullptr && right != nullptr, "join needs children");
-  internal_check(left_key != nullptr && right_key != nullptr,
-                 "merge join needs key expressions");
-  auto node = base(POp::MergeJoin, std::move(logical));
-  node->left = std::move(left);
-  node->right = std::move(right);
-  node->left_key = std::move(left_key);
-  node->right_key = std::move(right_key);
-  node->predicate = std::move(residual_predicate);
-  return node;
-}
-
 PhysicalPtr make_nl_join(PhysicalPtr left, PhysicalPtr right,
                          oql::ExprPtr predicate,
                          algebra::LogicalPtr logical) {
@@ -178,10 +160,7 @@ void render(const PhysicalPtr& plan, std::string& out) {
       out += ")";
       return;
     case POp::HashJoin:
-    case POp::MergeJoin:
-      out += std::string(plan->op == POp::HashJoin ? "hashjoin("
-                                                   : "mergejoin(") +
-             oql::to_oql(plan->left_key) + " = " +
+      out += "hashjoin(" + oql::to_oql(plan->left_key) + " = " +
              oql::to_oql(plan->right_key) + ", ";
       render(plan->left, out);
       out += ", ";

@@ -30,7 +30,6 @@ enum class POp {
   Filter,   ///< mediator-side predicate
   Project,  ///< mediator-side projection (the paper's mkproj)
   HashJoin,
-  MergeJoin,  ///< §3.1 names merge-join as a DISCO physical algorithm
   NestedLoopJoin,
   /// Bind join (extension; §6.2 "future work ... extend the logical
   /// model"): evaluate the build side, then ship its distinct join keys
@@ -102,10 +101,6 @@ PhysicalPtr make_hash_join(PhysicalPtr left, PhysicalPtr right,
                            oql::ExprPtr left_key, oql::ExprPtr right_key,
                            oql::ExprPtr residual_predicate,
                            algebra::LogicalPtr logical);
-PhysicalPtr make_merge_join(PhysicalPtr left, PhysicalPtr right,
-                            oql::ExprPtr left_key, oql::ExprPtr right_key,
-                            oql::ExprPtr residual_predicate,
-                            algebra::LogicalPtr logical);
 PhysicalPtr make_nl_join(PhysicalPtr left, PhysicalPtr right,
                          oql::ExprPtr predicate, algebra::LogicalPtr logical);
 /// Bind join: `remote` is the probe side's base expression (a get, or a

@@ -122,7 +122,6 @@ void Runtime::prefetch_execs(const PhysicalPtr& plan) {
       prefetch_execs(plan->child);
       return;
     case POp::HashJoin:
-    case POp::MergeJoin:
     case POp::NestedLoopJoin:
       prefetch_execs(plan->left);
       prefetch_execs(plan->right);
@@ -228,7 +227,6 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
       return out;
     }
     case POp::HashJoin:
-    case POp::MergeJoin:
     case POp::NestedLoopJoin:
       return eval_join(*node);
     case POp::BindJoin:
@@ -635,62 +633,6 @@ Runtime::Outcome Runtime::eval_join(const Physical& node) {
     for (const auto& [var, row] : env.fields()) scope.bind(var, row);
     return evaluator_.eval(node.predicate, scope).as_bool();
   };
-
-  if (node.op == POp::MergeJoin) {
-    auto [left_var, left_attr] = key_parts(node.left_key);
-    auto [right_var, right_attr] = key_parts(node.right_key);
-    auto key_of = [](const Value& env, const std::string& var,
-                     const std::string& attr) -> const Value& {
-      return env.field(var).field(attr);
-    };
-    std::sort(left.data.begin(), left.data.end(),
-              [&](const Value& a, const Value& b) {
-                return Value::compare(key_of(a, left_var, left_attr),
-                                      key_of(b, left_var, left_attr)) < 0;
-              });
-    std::sort(right.data.begin(), right.data.end(),
-              [&](const Value& a, const Value& b) {
-                return Value::compare(key_of(a, right_var, right_attr),
-                                      key_of(b, right_var, right_attr)) < 0;
-              });
-    size_t i = 0;
-    size_t j = 0;
-    while (i < left.data.size() && j < right.data.size()) {
-      // The run keys are hoisted once per run: recomputing the struct
-      // field lookups inside the run-detection conditions costs O(run²).
-      const Value& lkey = key_of(left.data[i], left_var, left_attr);
-      const Value& rkey = key_of(right.data[j], right_var, right_attr);
-      int c = Value::compare(lkey, rkey);
-      if (c < 0) {
-        ++i;
-      } else if (c > 0) {
-        ++j;
-      } else {
-        // Cross product of the equal-key runs.
-        size_t i_end = i + 1;
-        while (i_end < left.data.size() &&
-               Value::compare(key_of(left.data[i_end], left_var, left_attr),
-                              lkey) == 0) {
-          ++i_end;
-        }
-        size_t j_end = j + 1;
-        while (j_end < right.data.size() &&
-               Value::compare(key_of(right.data[j_end], right_var, right_attr),
-                              rkey) == 0) {
-          ++j_end;
-        }
-        for (size_t a = i; a < i_end; ++a) {
-          for (size_t b = j; b < j_end; ++b) {
-            Value merged = merge_envs(left.data[a], right.data[b]);
-            if (residual_ok(merged)) out.data.push_back(std::move(merged));
-          }
-        }
-        i = i_end;
-        j = j_end;
-      }
-    }
-    return out;
-  }
 
   if (node.op == POp::HashJoin) {
     auto [right_var, right_attr] = key_parts(node.right_key);

@@ -1,22 +1,24 @@
 #include "wrapper/csv_wrapper.hpp"
 
 #include "common/error.hpp"
+#include "wrapper/rows.hpp"
 
 namespace disco::wrapper {
+
+CsvWrapper::CsvWrapper()
+    : grammar_(grammar::CapabilitySet{.get = true}.to_grammar()) {}
 
 void CsvWrapper::attach_table(const std::string& repository_name,
                               csv::CsvTable table) {
   tables_[repository_name][table.name] = std::move(table);
 }
 
-grammar::Grammar CsvWrapper::capabilities() const {
-  return grammar::CapabilitySet{.get = true}.to_grammar();
-}
+grammar::Grammar CsvWrapper::capabilities() const { return grammar_; }
 
 SubmitResult CsvWrapper::submit(const catalog::Repository& repository,
                                 const algebra::LogicalPtr& expr,
                                 const BindingMap& bindings) {
-  if (expr->op != algebra::LOp::Get) {
+  if (!grammar_.accepts(expr)) {
     return SubmitResult::refused(
         "csv sources only support get(SOURCE), got " +
         algebra::to_algebra_string(expr));
@@ -26,10 +28,7 @@ SubmitResult CsvWrapper::submit(const catalog::Repository& repository,
     throw CatalogError("csv wrapper has no tables for repository '" +
                        repository.name + "'");
   }
-  auto binding_it = bindings.find(expr->extent);
-  internal_check(binding_it != bindings.end(),
-                 "missing binding for extent '" + expr->extent + "'");
-  const ExtentBinding& binding = binding_it->second;
+  const ExtentBinding& binding = binding_of(bindings, expr->extent);
   auto table_it = repo_it->second.find(binding.source_relation);
   if (table_it == repo_it->second.end()) {
     return SubmitResult::refused("repository '" + repository.name +
@@ -37,17 +36,12 @@ SubmitResult CsvWrapper::submit(const catalog::Repository& repository,
                                  binding.source_relation + "'");
   }
   const csv::CsvTable& table = table_it->second;
+  RowBuilder rows = RowBuilder::env();
+  rows.add_columns(expr->var, *binding.map, table.columns);
   std::vector<Value> items;
   items.reserve(table.rows.size());
   for (const std::vector<Value>& row : table.rows) {
-    std::vector<std::pair<std::string, Value>> fields;
-    fields.reserve(row.size());
-    for (size_t i = 0; i < row.size(); ++i) {
-      fields.emplace_back(binding.map->to_mediator_attribute(table.columns[i]),
-                          row[i]);
-    }
-    items.push_back(Value::strct(
-        {{expr->var, Value::strct(std::move(fields))}}));
+    items.push_back(rows.from_values(row));
   }
   return SubmitResult::ok(Value::bag(std::move(items)));
 }

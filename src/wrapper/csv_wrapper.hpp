@@ -13,6 +13,8 @@ namespace disco::wrapper {
 
 class CsvWrapper : public Wrapper {
  public:
+  CsvWrapper();
+
   /// Binds a parsed CSV table to `repository_name`. A repository can hold
   /// several tables (data sources), keyed by relation name.
   void attach_table(const std::string& repository_name, csv::CsvTable table);
@@ -24,6 +26,7 @@ class CsvWrapper : public Wrapper {
   std::string kind() const override { return "csv"; }
 
  private:
+  grammar::Grammar grammar_;
   // repository -> relation -> table
   std::unordered_map<std::string,
                      std::unordered_map<std::string, csv::CsvTable>>

@@ -13,100 +13,38 @@ using algebra::LOp;
 using algebra::LogicalPtr;
 using docstore::DocPath;
 
-/// One path-equality condition from a pushed conjunction, already
-/// translated into the source name space: source-side DocPath = literal.
-struct PathEquality {
-  DocPath path;
-  Value value;
-};
-
-/// Splits a var-rooted OQL path chain x.attr.t1.t2 into the mediator
-/// attribute (`attr`, the step nearest the variable) and the tail field
-/// names. Returns false when the chain is not rooted at `var`.
-bool split_chain(const oql::ExprPtr& expr, const std::string& var,
-                 std::string& attribute, std::vector<std::string>& tail) {
-  std::vector<std::string> names;
-  const oql::Expr* node = expr.get();
-  while (node->kind == oql::ExprKind::Path) {
-    names.push_back(node->name);
-    node = node->child.get();
-  }
-  if (node->kind != oql::ExprKind::Ident || node->name != var ||
-      names.empty()) {
-    return false;
-  }
-  attribute = names.back();  // chain collected outside-in
-  tail.assign(names.rbegin() + 1, names.rend());
-  return true;
-}
-
-/// Mediator chain -> source DocPath through the extent's map. Fails
-/// (nullopt) when the mapped source path has a wildcard and the chain
-/// keeps descending: the mediator would apply the tail to the List the
-/// wildcard produced (a type error), while DocPath would skip below the
-/// wildcard — refusing keeps pushed and residual evaluation in
-/// agreement.
-std::optional<DocPath> source_path_for(const std::string& attribute,
-                                       const std::vector<std::string>& tail,
+/// Mediator attribute chain (nearest the variable first) -> source
+/// DocPath through the extent's map. Fails (nullopt) when the mapped
+/// source path has a wildcard and the chain keeps descending: the
+/// mediator would apply the tail to the List the wildcard produced (a
+/// type error), while DocPath would skip below the wildcard — refusing
+/// keeps pushed and residual evaluation in agreement.
+std::optional<DocPath> source_path_for(const std::vector<std::string>& chain,
                                        const ExtentBinding& binding) {
   DocPath mapped =
-      DocPath::parse(binding.map->to_source_attribute(attribute));
-  if (mapped.has_wildcard() && !tail.empty()) return std::nullopt;
-  return mapped.with_fields(tail);
-}
-
-/// Flattens an equality-only conjunction into source-side path
-/// equalities; fails on anything else (the grammar should have filtered
-/// those out, but §2.1 has the wrapper re-check at run time).
-bool collect_path_equalities(const oql::ExprPtr& pred, const std::string& var,
-                             const ExtentBinding& binding,
-                             std::vector<PathEquality>& out) {
-  using oql::BinaryOp;
-  using oql::ExprKind;
-  if (pred->kind != ExprKind::Binary) return false;
-  if (pred->binary_op == BinaryOp::And) {
-    return collect_path_equalities(pred->left, var, binding, out) &&
-           collect_path_equalities(pred->right, var, binding, out);
-  }
-  if (pred->binary_op != BinaryOp::Eq) return false;
-  const oql::ExprPtr* chain = nullptr;
-  const oql::ExprPtr* literal = nullptr;
-  if (pred->left->kind == ExprKind::Path &&
-      pred->right->kind == ExprKind::Literal) {
-    chain = &pred->left;
-    literal = &pred->right;
-  } else if (pred->right->kind == ExprKind::Path &&
-             pred->left->kind == ExprKind::Literal) {
-    chain = &pred->right;
-    literal = &pred->left;
-  } else {
-    return false;
-  }
-  std::string attribute;
-  std::vector<std::string> tail;
-  if (!split_chain(*chain, var, attribute, tail)) return false;
-  std::optional<DocPath> path = source_path_for(attribute, tail, binding);
-  if (!path.has_value()) return false;
-  out.push_back(PathEquality{*std::move(path), (*literal)->literal});
-  return true;
-}
-
-/// The flattened mediator row for one document: the map's field pairs
-/// evaluated in order (so the row's struct field order is the map order,
-/// stable for Value::compare), or the whole document under an identity
-/// map.
-Value row_for(const Value& doc,
-              const std::vector<std::pair<std::string, DocPath>>& row_paths) {
-  if (row_paths.empty()) return doc;
-  std::vector<std::pair<std::string, Value>> fields;
-  fields.reserve(row_paths.size());
-  for (const auto& [mediator, path] : row_paths) {
-    fields.emplace_back(mediator, path.eval(doc));
-  }
-  return Value::strct(std::move(fields));
+      DocPath::parse(binding.map->to_source_attribute(chain.front()));
+  if (mapped.has_wildcard() && chain.size() > 1) return std::nullopt;
+  return mapped.with_fields({chain.begin() + 1, chain.end()});
 }
 
 }  // namespace
+
+DocWrapper::DocWrapper()
+    // Path projection and path-equality selection, composable: PATH
+    // subsumes flat ATTRIBUTE tokens and PATHEQPREDICATE subsumes flat
+    // EQPREDICATE tokens, so the same grammar serves mapped (flat) and
+    // identity (nested) extents. Range predicates (PATHPREDICATE /
+    // PREDICATE tokens) and joins are not advertised: they stay
+    // mediator-side.
+    : grammar_(grammar::Grammar::parse(
+          "a :- b\n"
+          "a :- c\n"
+          "a :- d\n"
+          "b :- get OPEN SOURCE CLOSE\n"
+          "c :- select OPEN PATHEQPREDICATE COMMA s CLOSE\n"
+          "d :- project OPEN PATH COMMA s CLOSE\n"
+          "s :- SOURCE\n"
+          "s :- c\n")) {}
 
 void DocWrapper::attach_store(const std::string& repository_name,
                               docstore::DocStore* store) {
@@ -115,27 +53,10 @@ void DocWrapper::attach_store(const std::string& repository_name,
 }
 
 void DocWrapper::set_grammar(grammar::Grammar grammar) {
-  grammar_override_ = std::move(grammar);
+  grammar_ = std::move(grammar);
 }
 
-grammar::Grammar DocWrapper::capabilities() const {
-  if (grammar_override_.has_value()) return *grammar_override_;
-  // Path projection and path-equality selection, composable: PATH
-  // subsumes flat ATTRIBUTE tokens and PATHEQPREDICATE subsumes flat
-  // EQPREDICATE tokens, so the same grammar serves mapped (flat) and
-  // identity (nested) extents. Range predicates (PATHPREDICATE /
-  // PREDICATE tokens) and joins are not advertised: they stay
-  // mediator-side.
-  return grammar::Grammar::parse(
-      "a :- b\n"
-      "a :- c\n"
-      "a :- d\n"
-      "b :- get OPEN SOURCE CLOSE\n"
-      "c :- select OPEN PATHEQPREDICATE COMMA s CLOSE\n"
-      "d :- project OPEN PATH COMMA s CLOSE\n"
-      "s :- SOURCE\n"
-      "s :- c\n");
-}
+grammar::Grammar DocWrapper::capabilities() const { return grammar_; }
 
 SubmitResult DocWrapper::submit(const catalog::Repository& repository,
                                 const algebra::LogicalPtr& expr,
@@ -147,7 +68,7 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
   }
   docstore::DocStore& store = *store_it->second;
   // Run-time capability check (§2.1: "At run-time, the wrapper checks").
-  if (!capabilities().accepts(expr)) {
+  if (!grammar_.accepts(expr)) {
     return SubmitResult::refused(
         "expression rejected by the docstore capability grammar: " +
         algebra::to_algebra_string(expr));
@@ -174,10 +95,7 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
   }
   const algebra::Logical& get_node = *body;
 
-  auto binding_it = bindings.find(get_node.extent);
-  internal_check(binding_it != bindings.end(),
-                 "missing binding for extent '" + get_node.extent + "'");
-  const ExtentBinding& binding = binding_it->second;
+  const ExtentBinding& binding = binding_of(bindings, get_node.extent);
   if (!store.has_collection(binding.source_relation)) {
     return SubmitResult::refused("store '" + repository.name +
                                  "' has no collection '" +
@@ -186,10 +104,21 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
   const docstore::DocCollection& collection =
       store.collection(binding.source_relation);
 
-  std::vector<PathEquality> equalities;
+  // Source-side DocPath = literal conditions.
+  std::vector<std::pair<DocPath, Value>> equalities;
   for (const oql::ExprPtr& predicate : predicates) {
-    if (!collect_path_equalities(predicate, get_node.var, binding,
-                                 equalities)) {
+    std::vector<PathEquality> conjuncts;
+    bool pushable =
+        collect_path_equalities(predicate, get_node.var, conjuncts);
+    for (PathEquality& conjunct : conjuncts) {
+      std::optional<DocPath> path = source_path_for(conjunct.chain, binding);
+      if (!path.has_value()) {
+        pushable = false;
+        break;
+      }
+      equalities.emplace_back(*std::move(path), std::move(conjunct.value));
+    }
+    if (!pushable) {
       return SubmitResult::refused(
           "doc predicate must be a conjunction of path = literal "
           "comparisons: " +
@@ -212,68 +141,79 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
   } else {
     size_t probe = 0;
     for (size_t i = 0; i < equalities.size(); ++i) {
-      if (collection.has_index(equalities[i].path.to_text())) {
+      if (collection.has_index(equalities[i].first.to_text())) {
         probe = i;
         break;
       }
     }
     bool used_index = false;
     std::vector<size_t> positions = collection.find_equal(
-        equalities[probe].path, equalities[probe].value, &used_index,
+        equalities[probe].first, equalities[probe].second, &used_index,
         &docs_examined);
     if (used_index) index_probes = 1;
     for (size_t position : positions) candidates.push_back(&docs[position]);
   }
   std::erase_if(candidates, [&](const Value* doc) {
-    for (const PathEquality& equality : equalities) {
-      if (Value::compare(equality.path.eval(*doc), equality.value) != 0) {
+    for (const auto& [path, value] : equalities) {
+      if (Value::compare(path.eval(*doc), value) != 0) {
         return true;
       }
     }
     return false;
   });
 
-  // Row flattening through the map, then the projection (if any) over
-  // the *row* — plain field descent with the mediator's own lenient
-  // rules, so pushed projections agree with mediator-side evaluation by
-  // construction.
-  std::vector<std::pair<std::string, DocPath>> row_paths;
-  row_paths.reserve(binding.map->fields().size());
-  for (const auto& [source, mediator] : binding.map->fields()) {
-    row_paths.emplace_back(mediator, DocPath::parse(source));
+  // Row flattening through the map: the map's source paths evaluated in
+  // map order (so the row's field order is the map order, stable for
+  // Value::compare), or the whole document under an identity map.
+  RowBuilder env = RowBuilder::env();
+  std::vector<DocPath> row_paths;
+  if (binding.map->fields().empty()) {
+    env.add_struct(get_node.var, *binding.map);
+  } else {
+    std::vector<std::string> sources;
+    for (const auto& [source, mediator] : binding.map->fields()) {
+      sources.push_back(source);
+      row_paths.push_back(DocPath::parse(source));
+    }
+    env.add_columns(get_node.var, *binding.map, sources);
   }
+  auto env_row = [&](const Value& doc) {
+    if (row_paths.empty()) return env.from_struct(doc);
+    std::vector<Value> values;
+    values.reserve(row_paths.size());
+    for (const DocPath& path : row_paths) values.push_back(path.eval(doc));
+    return env.from_values(std::move(values));
+  };
 
   std::vector<Value> items;
   items.reserve(candidates.size());
   if (projection == nullptr) {
-    for (const Value* doc : candidates) {
-      items.push_back(
-          Value::strct({{get_node.var, row_for(*doc, row_paths)}}));
-    }
+    for (const Value* doc : candidates) items.push_back(env_row(*doc));
   } else {
-    // Path chain -> single value; struct(f: chain, ...) -> struct. The
-    // grammar admits nothing else, but re-check for direct submits.
+    // The projection runs over the env row — plain field descent with
+    // the mediator's own lenient rules, so pushed projections agree with
+    // mediator-side evaluation by construction. A path chain gives a
+    // bare value, struct(f: chain, ...) a struct; the grammar admits
+    // nothing else, but re-check for direct submits.
     auto chain_path = [&](const oql::ExprPtr& chain)
         -> std::optional<DocPath> {
-      std::string attribute;
-      std::vector<std::string> tail;
-      if (!split_chain(chain, get_node.var, attribute, tail)) {
-        return std::nullopt;
-      }
-      std::vector<std::string> fields;
-      fields.push_back(attribute);
-      fields.insert(fields.end(), tail.begin(), tail.end());
-      return DocPath().with_fields(fields);
+      std::optional<std::vector<std::string>> names =
+          var_chain(chain, get_node.var);
+      if (!names.has_value()) return std::nullopt;
+      names->insert(names->begin(), get_node.var);
+      return DocPath().with_fields(*names);
     };
-    std::vector<std::pair<std::string, DocPath>> outputs;  // name="" = bare
+    RowBuilder rows = RowBuilder::scalar();
+    std::vector<DocPath> outputs;
     if (projection->kind == oql::ExprKind::Path) {
       std::optional<DocPath> path = chain_path(projection);
       if (!path.has_value()) {
         return SubmitResult::refused("doc projection must be a path chain: " +
                                      oql::to_oql(projection));
       }
-      outputs.emplace_back("", *std::move(path));
+      outputs.push_back(*std::move(path));
     } else if (projection->kind == oql::ExprKind::StructCtor) {
+      std::vector<std::string> names;
       for (const auto& [name, field] : projection->struct_fields) {
         std::optional<DocPath> path = chain_path(field);
         if (!path.has_value()) {
@@ -281,34 +221,26 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
                                        "' must be a path chain: " +
                                        oql::to_oql(field));
         }
-        outputs.emplace_back(name, *std::move(path));
+        outputs.push_back(*std::move(path));
+        names.push_back(name);
       }
+      rows = RowBuilder::strct(std::move(names));
     } else {
       return SubmitResult::refused("doc projection must be a path chain or "
                                    "struct of path chains: " +
                                    oql::to_oql(projection));
     }
     for (const Value* doc : candidates) {
-      Value row = row_for(*doc, row_paths);
-      if (outputs.size() == 1 && outputs.front().first.empty()) {
-        items.push_back(outputs.front().second.eval(row));
-      } else {
-        std::vector<std::pair<std::string, Value>> fields;
-        fields.reserve(outputs.size());
-        for (const auto& [name, path] : outputs) {
-          fields.emplace_back(name, path.eval(row));
-        }
-        items.push_back(Value::strct(std::move(fields)));
-      }
+      const Value row = env_row(*doc);
+      std::vector<Value> values;
+      values.reserve(outputs.size());
+      for (const DocPath& path : outputs) values.push_back(path.eval(row));
+      items.push_back(rows.from_values(std::move(values)));
     }
   }
 
   SubmitResult out = SubmitResult::ok(Value::bag(std::move(items)));
-  if (cost_model_.enabled) {
-    out.compute_s = cost_model_.base_s +
-                    cost_model_.per_doc_scanned_s * double(docs_examined) +
-                    cost_model_.per_index_probe_s * double(index_probes);
-  }
+  out.compute_s = cost_model_.seconds(docs_examined, index_probes);
   return out;
 }
 

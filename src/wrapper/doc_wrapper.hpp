@@ -17,18 +17,17 @@
 // plans without change.
 #pragma once
 
-#include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "sources/docstore/doc_store.hpp"
+#include "wrapper/rows.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace disco::wrapper {
 
 class DocWrapper : public Wrapper {
  public:
-  DocWrapper() = default;
+  DocWrapper();
 
   /// Binds the store reachable as `repository_name`; one wrapper can
   /// serve many document repositories.
@@ -38,17 +37,10 @@ class DocWrapper : public Wrapper {
   /// Replaces the advertised grammar (capability-sweep experiments).
   void set_grammar(grammar::Grammar grammar);
 
-  /// Optional source-compute cost model, mirroring MemDbWrapper's: when
-  /// enabled, submit() reports compute_s from documents examined and
-  /// index probes, so the cost history can tell an indexed path probe
-  /// from a whole-collection scan.
-  struct CostModel {
-    bool enabled = false;
-    double base_s = 0;
-    double per_doc_scanned_s = 1e-7;
-    double per_index_probe_s = 2e-6;
-  };
-  void set_cost_model(CostModel model) { cost_model_ = model; }
+  /// Optional source-compute price: when enabled, submit() reports
+  /// compute_s from documents examined and index probes, so the cost
+  /// history can tell an indexed path probe from a whole-collection scan.
+  void set_cost_model(ComputeCost model) { cost_model_ = model; }
 
   grammar::Grammar capabilities() const override;
   SubmitResult submit(const catalog::Repository& repository,
@@ -59,9 +51,9 @@ class DocWrapper : public Wrapper {
   std::vector<std::pair<std::string, uint64_t>> stat_gauges() const override;
 
  private:
-  std::optional<grammar::Grammar> grammar_override_;
+  grammar::Grammar grammar_;
   std::unordered_map<std::string, docstore::DocStore*> stores_;
-  CostModel cost_model_;
+  ComputeCost cost_model_;
 };
 
 }  // namespace disco::wrapper

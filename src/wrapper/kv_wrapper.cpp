@@ -1,55 +1,19 @@
 #include "wrapper/kv_wrapper.hpp"
 
-#include <optional>
+#include <algorithm>
 
 #include "common/error.hpp"
-#include "oql/eval.hpp"
 #include "oql/printer.hpp"
+#include "wrapper/rows.hpp"
 
 namespace disco::wrapper {
 
-namespace {
-
-/// One equality condition var.attr = literal extracted from a conjunction.
-struct Equality {
-  std::string attribute;  // mediator name space
-  Value value;
-};
-
-/// Flattens an equality-only conjunction into (attr, value) pairs; fails
-/// on anything else (the grammar should have filtered those out).
-bool collect_equalities(const oql::ExprPtr& pred, const std::string& var,
-                        std::vector<Equality>& out) {
-  using oql::BinaryOp;
-  using oql::ExprKind;
-  if (pred->kind != ExprKind::Binary) return false;
-  if (pred->binary_op == BinaryOp::And) {
-    return collect_equalities(pred->left, var, out) &&
-           collect_equalities(pred->right, var, out);
-  }
-  if (pred->binary_op != BinaryOp::Eq) return false;
-  const oql::ExprPtr* path = nullptr;
-  const oql::ExprPtr* literal = nullptr;
-  if (pred->left->kind == ExprKind::Path &&
-      pred->right->kind == ExprKind::Literal) {
-    path = &pred->left;
-    literal = &pred->right;
-  } else if (pred->right->kind == ExprKind::Path &&
-             pred->left->kind == ExprKind::Literal) {
-    path = &pred->right;
-    literal = &pred->left;
-  } else {
-    return false;
-  }
-  if ((*path)->child->kind != ExprKind::Ident ||
-      (*path)->child->name != var) {
-    return false;
-  }
-  out.push_back(Equality{(*path)->name, (*literal)->literal});
-  return true;
-}
-
-}  // namespace
+KvWrapper::KvWrapper()
+    : grammar_(grammar::Grammar::parse(
+          "a :- b\n"
+          "a :- c\n"
+          "b :- get OPEN SOURCE CLOSE\n"
+          "c :- select OPEN EQPREDICATE COMMA SOURCE CLOSE\n")) {}
 
 void KvWrapper::attach_store(const std::string& repository_name,
                              kvstore::KvStore* store) {
@@ -57,13 +21,7 @@ void KvWrapper::attach_store(const std::string& repository_name,
   stores_[repository_name] = store;
 }
 
-grammar::Grammar KvWrapper::capabilities() const {
-  return grammar::Grammar::parse(
-      "a :- b\n"
-      "a :- c\n"
-      "b :- get OPEN SOURCE CLOSE\n"
-      "c :- select OPEN EQPREDICATE COMMA SOURCE CLOSE\n");
-}
+grammar::Grammar KvWrapper::capabilities() const { return grammar_; }
 
 SubmitResult KvWrapper::submit(const catalog::Repository& repository,
                                const algebra::LogicalPtr& expr,
@@ -74,7 +32,7 @@ SubmitResult KvWrapper::submit(const catalog::Repository& repository,
                        repository.name + "'");
   }
   kvstore::KvStore& store = *store_it->second;
-  if (!capabilities().accepts(expr)) {
+  if (!grammar_.accepts(expr)) {
     return SubmitResult::refused(
         "expression rejected by the kv capability grammar: " +
         algebra::to_algebra_string(expr));
@@ -92,10 +50,7 @@ SubmitResult KvWrapper::submit(const catalog::Repository& repository,
     return SubmitResult::refused("kv sources accept get or select(get)");
   }
 
-  auto binding_it = bindings.find(get_node->extent);
-  internal_check(binding_it != bindings.end(),
-                 "missing binding for extent '" + get_node->extent + "'");
-  const ExtentBinding& binding = binding_it->second;
+  const ExtentBinding& binding = binding_of(bindings, get_node->extent);
   if (!store.has_collection(binding.source_relation)) {
     return SubmitResult::refused("store '" + repository.name +
                                  "' has no collection '" +
@@ -109,46 +64,50 @@ SubmitResult KvWrapper::submit(const catalog::Repository& repository,
     ++store.stats().scans;
     rows = collection.scan();
   } else {
-    std::vector<Equality> equalities;
-    if (!collect_equalities(predicate, get_node->var, equalities) ||
-        equalities.empty()) {
+    // Every equality is var.attr = literal; the attribute is resolved
+    // into its source name once here, not once per row.
+    std::vector<PathEquality> equalities;
+    const bool flat =
+        collect_path_equalities(predicate, get_node->var, equalities) &&
+        !equalities.empty() &&
+        std::all_of(equalities.begin(), equalities.end(),
+                    [](const PathEquality& e) { return e.chain.size() == 1; });
+    if (!flat) {
       return SubmitResult::refused("kv predicate must be a conjunction of "
                                    "attribute = literal comparisons: " +
                                    oql::to_oql(predicate));
     }
+    std::vector<std::string> source_attributes;
+    for (const PathEquality& equality : equalities) {
+      source_attributes.push_back(
+          binding.map->to_source_attribute(equality.chain.front()));
+    }
     // Use a key equality as the index probe when one exists; remaining
     // equalities filter the probe result.
-    std::optional<size_t> key_index;
-    for (size_t i = 0; i < equalities.size(); ++i) {
-      if (binding.map->to_source_attribute(equalities[i].attribute) ==
-          collection.key_attribute()) {
-        key_index = i;
-        break;
-      }
-    }
-    if (key_index.has_value()) {
+    auto key = std::find(source_attributes.begin(), source_attributes.end(),
+                         collection.key_attribute());
+    if (key != source_attributes.end()) {
       ++store.stats().lookups;
-      rows = collection.lookup(equalities[*key_index].value);
+      rows = collection.lookup(
+          equalities[key - source_attributes.begin()].value);
     } else {
       ++store.stats().scans;
       rows = collection.scan();
     }
     std::erase_if(rows, [&](const Value& row) {
       for (size_t i = 0; i < equalities.size(); ++i) {
-        const Value* field = row.find_field(
-            binding.map->to_source_attribute(equalities[i].attribute));
+        const Value* field = row.find_field(source_attributes[i]);
         if (field == nullptr || *field != equalities[i].value) return true;
       }
       return false;
     });
   }
 
+  RowBuilder env = RowBuilder::env();
+  env.add_struct(get_node->var, *binding.map);
   std::vector<Value> items;
   items.reserve(rows.size());
-  for (const Value& row : rows) {
-    items.push_back(Value::strct(
-        {{get_node->var, binding.map->rename_row_to_mediator(row)}}));
-  }
+  for (const Value& row : rows) items.push_back(env.from_struct(row));
   return SubmitResult::ok(Value::bag(std::move(items)));
 }
 

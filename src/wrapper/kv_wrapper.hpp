@@ -20,6 +20,8 @@ namespace disco::wrapper {
 
 class KvWrapper : public Wrapper {
  public:
+  KvWrapper();
+
   void attach_store(const std::string& repository_name,
                     kvstore::KvStore* store);
 
@@ -30,6 +32,7 @@ class KvWrapper : public Wrapper {
   std::string kind() const override { return "kvstore"; }
 
  private:
+  grammar::Grammar grammar_;
   std::unordered_map<std::string, kvstore::KvStore*> stores_;
 };
 

@@ -14,16 +14,13 @@ using algebra::LOp;
 using algebra::Logical;
 using algebra::LogicalPtr;
 
-/// What the reassembled answer looks like (see wrapper.hpp contract).
-enum class Shape { Env, Scalar, Struct };
-
 struct Translation {
   std::string sql;
-  Shape shape = Shape::Env;
   /// FROM-order (var, extent) pairs; used to regroup env structs.
   std::vector<std::pair<std::string, std::string>> vars;
-  /// Mediator field names for Shape::Struct, aligned with the select list.
-  std::vector<std::string> struct_fields;
+  /// The answer's row format. Env variables are added once the source
+  /// has named its result columns.
+  RowBuilder rows = RowBuilder::env();
 };
 
 struct Refusal {
@@ -33,15 +30,6 @@ struct Refusal {
 /// Either a translation or a reason it cannot be expressed in MiniSQL.
 template <typename T>
 using OrRefusal = std::variant<T, Refusal>;
-
-const ExtentBinding& binding_for(const BindingMap& bindings,
-                                 const std::string& extent) {
-  auto it = bindings.find(extent);
-  internal_check(it != bindings.end(),
-                 "runtime did not provide a binding for extent '" + extent +
-                     "'");
-  return it->second;
-}
 
 class Translator {
  public:
@@ -57,8 +45,7 @@ class Translator {
     if (auto refusal = collect(body)) return *refusal;
 
     std::string select_list;
-    Shape shape = Shape::Env;
-    std::vector<std::string> struct_fields;
+    RowBuilder rows = RowBuilder::env();
     if (projection.has_value()) {
       if (projection->second) {
         return Refusal{"MiniSQL has no DISTINCT"};
@@ -70,9 +57,10 @@ class Translator {
           return std::get<Refusal>(column);
         }
         select_list = std::get<std::string>(column);
-        shape = Shape::Scalar;
+        rows = RowBuilder::scalar();
       } else if (proj.kind == oql::ExprKind::StructCtor) {
         std::vector<std::string> columns;
+        std::vector<std::string> struct_fields;
         for (const auto& [field_name, field_expr] : proj.struct_fields) {
           if (field_expr->kind != oql::ExprKind::Path) {
             return Refusal{"projection field '" + field_name +
@@ -86,7 +74,7 @@ class Translator {
           struct_fields.push_back(field_name);
         }
         select_list = join(columns, ", ");
-        shape = Shape::Struct;
+        rows = RowBuilder::strct(std::move(struct_fields));
       } else {
         return Refusal{"projection '" + oql::to_oql(proj) +
                        "' is not expressible in MiniSQL"};
@@ -98,7 +86,7 @@ class Translator {
     std::string sql = "SELECT " + select_list + " FROM ";
     std::vector<std::string> tables;
     for (const auto& [var, extent] : from_) {
-      tables.push_back(binding_for(bindings_, extent).source_relation + " " +
+      tables.push_back(binding_of(bindings_, extent).source_relation + " " +
                        var);
     }
     sql += join(tables, ", ");
@@ -108,9 +96,8 @@ class Translator {
 
     Translation out;
     out.sql = std::move(sql);
-    out.shape = shape;
     out.vars = from_;
-    out.struct_fields = std::move(struct_fields);
+    out.rows = std::move(rows);
     return out;
   }
 
@@ -246,7 +233,7 @@ class Translator {
     if (it == var_extent_.end()) {
       return Refusal{"variable '" + var + "' is not bound at this source"};
     }
-    const ExtentBinding& binding = binding_for(bindings_, it->second);
+    const ExtentBinding& binding = binding_of(bindings_, it->second);
     return var + "." + binding.map->to_source_attribute(expr.name);
   }
 
@@ -259,7 +246,7 @@ class Translator {
 }  // namespace
 
 MemDbWrapper::MemDbWrapper(grammar::CapabilitySet capabilities)
-    : capability_set_(capabilities) {}
+    : grammar_(capabilities.to_grammar()) {}
 
 void MemDbWrapper::attach_database(const std::string& repository_name,
                                    memdb::Database* database) {
@@ -268,13 +255,10 @@ void MemDbWrapper::attach_database(const std::string& repository_name,
 }
 
 void MemDbWrapper::set_grammar(grammar::Grammar grammar) {
-  grammar_override_ = std::move(grammar);
+  grammar_ = std::move(grammar);
 }
 
-grammar::Grammar MemDbWrapper::capabilities() const {
-  return grammar_override_.has_value() ? *grammar_override_
-                                       : capability_set_.to_grammar();
-}
+grammar::Grammar MemDbWrapper::capabilities() const { return grammar_; }
 
 SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
                                   const algebra::LogicalPtr& expr,
@@ -285,7 +269,7 @@ SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
                        repository.name + "'");
   }
   // Run-time capability check (§2.1: "At run-time, the wrapper checks").
-  if (!capabilities().accepts(expr)) {
+  if (!grammar_.accepts(expr)) {
     return SubmitResult::refused("expression rejected by the capability "
                                  "grammar: " +
                                  algebra::to_algebra_string(expr));
@@ -296,7 +280,7 @@ SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
   if (std::holds_alternative<Refusal>(result)) {
     return SubmitResult::refused(std::get<Refusal>(result).reason);
   }
-  const Translation& translation = std::get<Translation>(result);
+  Translation& translation = std::get<Translation>(result);
   {
     std::lock_guard<std::mutex> lock(last_sql_mutex_);
     last_sql_ = translation.sql;
@@ -319,51 +303,28 @@ SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
     stats_.merge_joins += q.merge_joins;
     stats_.nested_loop_joins += q.nested_loop_joins;
   }
-  double compute_s = 0;
-  if (cost_model_.enabled) {
-    compute_s = cost_model_.base_s +
-                cost_model_.per_row_scanned_s * double(q.rows_scanned) +
-                cost_model_.per_index_probe_s * double(q.index_probes);
-  }
 
-  std::vector<Value> items;
-  items.reserve(rs.rows.size());
-  switch (translation.shape) {
-    case Shape::Scalar:
-      for (const memdb::Row& row : rs.rows) items.push_back(row[0]);
-      break;
-    case Shape::Struct:
-      for (const memdb::Row& row : rs.rows) {
-        std::vector<std::pair<std::string, Value>> fields;
-        for (size_t i = 0; i < translation.struct_fields.size(); ++i) {
-          fields.emplace_back(translation.struct_fields[i], row[i]);
+  RowBuilder& rows = translation.rows;
+  if (rows.is_env()) {
+    // Group result columns by table alias (= binding variable); the
+    // builder renames them into the mediator name space.
+    for (const auto& [var, extent] : translation.vars) {
+      std::vector<std::pair<size_t, std::string>> columns;
+      for (size_t c = 0; c < rs.columns.size(); ++c) {
+        if (rs.columns[c].alias == var) {
+          columns.emplace_back(c, rs.columns[c].name);
         }
-        items.push_back(Value::strct(std::move(fields)));
       }
-      break;
-    case Shape::Env: {
-      // Group result columns by table alias (= binding variable) and
-      // rename every source attribute back into the mediator name space.
-      for (const memdb::Row& row : rs.rows) {
-        std::vector<std::pair<std::string, Value>> env;
-        for (const auto& [var, extent] : translation.vars) {
-          const ExtentBinding& binding = binding_for(bindings, extent);
-          std::vector<std::pair<std::string, Value>> fields;
-          for (size_t c = 0; c < rs.columns.size(); ++c) {
-            if (rs.columns[c].alias != var) continue;
-            fields.emplace_back(
-                binding.map->to_mediator_attribute(rs.columns[c].name),
-                row[c]);
-          }
-          env.emplace_back(var, Value::strct(std::move(fields)));
-        }
-        items.push_back(Value::strct(std::move(env)));
-      }
-      break;
+      rows.add_columns(var, *binding_of(bindings, extent).map, columns);
     }
   }
+  std::vector<Value> items;
+  items.reserve(rs.rows.size());
+  for (memdb::Row& row : rs.rows) {
+    items.push_back(rows.from_values(std::move(row)));
+  }
   SubmitResult out = SubmitResult::ok(Value::bag(std::move(items)));
-  out.compute_s = compute_s;
+  out.compute_s = cost_model_.seconds(q.rows_scanned, q.index_probes);
   return out;
 }
 

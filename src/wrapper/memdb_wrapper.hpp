@@ -15,6 +15,7 @@
 
 #include "sources/memdb/database.hpp"
 #include "sources/memdb/engine.hpp"
+#include "wrapper/rows.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace disco::wrapper {
@@ -39,18 +40,11 @@ class MemDbWrapper : public Wrapper {
   /// Grammar::parse, like the paper's §3.2 examples).
   void set_grammar(grammar::Grammar grammar);
 
-  /// Optional source-compute cost model. When enabled, submit() reports
-  /// SubmitResult::compute_s derived from the engine's per-query counters,
-  /// so the mediator's cost history observes that an indexed selection is
-  /// cheaper than a full scan of the same extent. Disabled by default:
-  /// existing virtual-latency experiments price transfer only.
-  struct CostModel {
-    bool enabled = false;
-    double base_s = 0;                  ///< fixed per-query overhead
-    double per_row_scanned_s = 1e-7;    ///< per candidate row examined
-    double per_index_probe_s = 2e-6;    ///< per index descent (log n-ish)
-  };
-  void set_cost_model(CostModel model) { cost_model_ = model; }
+  /// Optional source-compute price: when enabled, submit() reports
+  /// SubmitResult::compute_s from the engine's rows scanned and index
+  /// probes, so the mediator's cost history observes that an indexed
+  /// selection is cheaper than a full scan of the same extent.
+  void set_cost_model(ComputeCost model) { cost_model_ = model; }
 
   grammar::Grammar capabilities() const override;
   SubmitResult submit(const catalog::Repository& repository,
@@ -77,10 +71,9 @@ class MemDbWrapper : public Wrapper {
   }
 
  private:
-  grammar::CapabilitySet capability_set_;
-  std::optional<grammar::Grammar> grammar_override_;
+  grammar::Grammar grammar_;
   std::unordered_map<std::string, memdb::Database*> databases_;
-  CostModel cost_model_;
+  ComputeCost cost_model_;
   mutable std::mutex last_sql_mutex_;
   std::string last_sql_;
   memdb::Engine::Stats stats_;

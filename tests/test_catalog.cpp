@@ -47,15 +47,6 @@ TEST(TypeMapTest, PaperExample) {
   EXPECT_EQ(map.to_source_attribute("other"), "other");
 }
 
-TEST(TypeMapTest, RenamesRows) {
-  TypeMap map("", {{"name", "n"}});
-  Value row = Value::strct({{"name", Value::string("Mary")},
-                            {"id", Value::integer(1)}});
-  Value renamed = map.rename_row_to_mediator(row);
-  EXPECT_EQ(renamed.field("n"), Value::string("Mary"));
-  EXPECT_EQ(renamed.field("id"), Value::integer(1));
-}
-
 TEST(TypeMapTest, RejectsDuplicates) {
   EXPECT_THROW(TypeMap("", {{"a", "x"}, {"a", "y"}}), CatalogError);
   EXPECT_THROW(TypeMap("", {{"a", "x"}, {"b", "x"}}), CatalogError);

@@ -373,7 +373,7 @@ TEST_F(DocWrapperTest, RefusalsAreExplicit) {
 TEST_F(DocWrapperTest, CostModelReportsComputeTime) {
   wrapper_.set_cost_model({.enabled = true,
                            .base_s = 0.001,
-                           .per_doc_scanned_s = 1e-4,
+                           .per_row_scanned_s = 1e-4,
                            .per_index_probe_s = 1e-5});
   // Index probe: base + probe + per-candidate.
   wrapper::SubmitResult probed = submit(

@@ -267,7 +267,7 @@ class CostLoopTest : public ::testing::Test {
     wrapper_ = w.get();
     // Report source compute so the history can tell an indexed probe
     // from a scan even when both return the same rows.
-    w->set_cost_model(wrapper::MemDbWrapper::CostModel{.enabled = true});
+    w->set_cost_model(wrapper::ComputeCost{.enabled = true});
     w->attach_database("r0", &db0_);
     w->attach_database("r1", &db1_);
     mediator_->register_wrapper("w0", std::move(w));

@@ -1,8 +1,9 @@
 // Composed mediators (Figure 1): a downstream mediator that reaches its
-// data through an upstream mediator via MediatorWrapper.
+// data through an upstream mediator via fedcat::MediatorSource.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "fedcat/mediator_source.hpp"
 #include "fixtures.hpp"
 
 namespace disco {
@@ -13,9 +14,9 @@ using disco::testing::PaperWorld;
 /// Downstream mediator whose only source is the PaperWorld mediator.
 struct Federation {
   Federation() {
-    auto wrapper = std::make_shared<MediatorWrapper>(&upstream.mediator);
-    mediator_wrapper = wrapper.get();
-    downstream.register_wrapper("wm", std::move(wrapper));
+    auto source = fedcat::MediatorSource::in_process(&upstream.mediator);
+    mediator_source = source.get();
+    downstream.register_wrapper("wm", std::move(source));
     downstream.register_repository(
         catalog::Repository{"mr", "mediator-host", "disco", "10.0.0.1"},
         net::LatencyModel{0.005, 0.0001, 0});
@@ -29,7 +30,7 @@ struct Federation {
   }
   PaperWorld upstream;
   Mediator downstream;
-  MediatorWrapper* mediator_wrapper = nullptr;
+  fedcat::MediatorSource* mediator_source = nullptr;
 };
 
 TEST(FederationTest, QueriesFlowThroughBothMediators) {
@@ -46,7 +47,7 @@ TEST(FederationTest, PushedExpressionIsReconstructedOql) {
   fed.downstream.query("select x.ename from x in staff where x.pay > 10");
   // The wrapper shipped renamed OQL text: ename->name, pay->salary,
   // staff->person (the upstream implicit extent).
-  EXPECT_EQ(fed.mediator_wrapper->last_oql(),
+  EXPECT_EQ(fed.mediator_source->last_oql(),
             "select x.name from x in person where x.salary > 10");
 }
 
@@ -95,7 +96,7 @@ TEST(FederationTest, DownstreamSeesMediatorOutage) {
 }
 
 TEST(FederationTest, UpstreamPartialAnswerIsAnError) {
-  // Documented limit (mediator_wrapper.hpp): a remote partial answer
+  // Documented limit (fedcat/mediator_source.hpp): a remote partial answer
   // cannot be spliced into the local plan.
   Federation fed;
   fed.upstream.mediator.network().set_availability(
@@ -108,7 +109,7 @@ TEST(FederationTest, ThreeTierChain) {
   Federation fed;
   Mediator tier3;
   tier3.register_wrapper(
-      "wm2", std::make_shared<MediatorWrapper>(&fed.downstream));
+      "wm2", fedcat::MediatorSource::in_process(&fed.downstream));
   tier3.register_repository(
       catalog::Repository{"mr2", "t2-host", "disco", "10.0.0.2"});
   tier3.execute_odl(R"(

@@ -575,12 +575,10 @@ TEST(SessionTest, OnCompleteRegistrationRacesAreExactlyOnce) {
 
 TEST(SessionTest, OnProgressFiresPerPartialRunAndInlineForLateSubscribers) {
   std::atomic<bool> up{false};
-  std::atomic<int> runs{0};
   session::SessionOptions options;
   options.retry_interval_s = 0.002;
   session::ResubmissionManager manager(
       [&](const std::string&, double) {
-        ++runs;
         if (!up.load()) {
           return Answer::partial_answer(
               Value::bag({Value::string("Sam")}),
@@ -590,8 +588,13 @@ TEST(SessionTest, OnProgressFiresPerPartialRunAndInlineForLateSubscribers) {
                                        stub_stats());
       },
       options);
-  session::QueryHandle handle = manager.submit("select ...");
-  while (runs.load() < 1) {
+  // A parseable text: snapshot() of a session that has not run yet
+  // reports the whole query as its residual.
+  session::QueryHandle handle = manager.submit("select x.a from x in e");
+  // Wait for the first partial run to be *published*, not merely started:
+  // the runner returns before the manager records its answer, and the
+  // inline fire below is promised only once the session has run.
+  while (handle.snapshot().data().size() < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 

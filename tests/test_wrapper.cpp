@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "catalog/catalog.hpp"
 #include "common/error.hpp"
+#include "core/mediator.hpp"
+#include "fedcat/mediator_source.hpp"
 #include "oql/parser.hpp"
 #include "sources/csv/csv_source.hpp"
+#include "sources/docstore/doc_store.hpp"
+#include "sources/kvstore/kv_store.hpp"
 #include "sources/memdb/database.hpp"
 #include "wrapper/csv_wrapper.hpp"
+#include "wrapper/doc_wrapper.hpp"
+#include "wrapper/kv_wrapper.hpp"
 #include "wrapper/memdb_wrapper.hpp"
+#include "wrapper/rows.hpp"
 
 namespace disco::wrapper {
 namespace {
@@ -242,6 +252,152 @@ TEST(CsvWrapperTest, MissingRelationRefused) {
   b2["water"] = ExtentBinding{"water", &identity};
   EXPECT_THROW(wrapper.submit(unknown, get("water", "m"), b2),
                CatalogError);
+}
+
+// ------------------------------------------------- one boundary for all ---
+
+// The same generated Person rows served by every wrapper kind under one
+// non-identity map: map ((people=person0),(name=n),(salary=s)). Whatever
+// the source speaks, the answer crosses into the mediator in one format.
+class WrapperBoundary : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 12;
+
+  WrapperBoundary() {
+    auto& table = db_.create_table("people",
+                                   {{"name", memdb::ColumnType::Text},
+                                    {"salary", memdb::ColumnType::Int}});
+    auto& upstream_table = upstream_db_.create_table(
+        "people0", {{"name", memdb::ColumnType::Text},
+                    {"salary", memdb::ColumnType::Int}});
+    std::string csv_text = "name,salary\n";
+    kvstore::KvCollection& kv = kv_.create_collection("people", "name");
+    docstore::DocCollection& docs = docs_.create_collection("people");
+    for (int i = 0; i < kRows; ++i) {
+      const Value name = Value::string("p" + std::to_string(i));
+      const Value salary = Value::integer((i * 37) % 50);  // repeats
+      table.insert({name, salary});
+      upstream_table.insert({name, salary});
+      csv_text += name.as_string() + "," + std::to_string(salary.as_int()) +
+                  "\n";
+      kv.put(Value::strct({{"name", name}, {"salary", salary}}));
+      docs.insert(Value::strct({{"name", name}, {"salary", salary}}));
+      expected_env_.push_back(Value::strct(
+          {{"x", Value::strct({{"n", name}, {"s", salary}})}}));
+    }
+
+    auto memdb = std::make_shared<MemDbWrapper>();
+    memdb->attach_database("r", &db_);
+    auto csv = std::make_shared<CsvWrapper>();
+    csv->attach_table("r", csv::parse_csv("people", csv_text));
+    auto kv_wrapper = std::make_shared<KvWrapper>();
+    kv_wrapper->attach_store("r", &kv_);
+    auto doc = std::make_shared<DocWrapper>();
+    doc->attach_store("r", &docs_);
+
+    // The mediator source ships OQL over the upstream's implicit extent
+    // `people`, which is the remote name of this extent's relation.
+    auto upstream_wrapper = std::make_shared<MemDbWrapper>();
+    upstream_wrapper->attach_database("ru", &upstream_db_);
+    upstream_.register_wrapper("wu", std::move(upstream_wrapper));
+    upstream_.register_repository(catalog::Repository{"ru", "", "", ""});
+    upstream_.execute_odl(R"(
+      interface Person (extent people) {
+        attribute String name;
+        attribute Long salary; };
+      extent people0 of Person wrapper wu repository ru;
+    )");
+
+    // name, wrapper, accepts pushed projections, accepts x.n = literal.
+    wrappers_ = {
+        {"memdb", memdb, true, true},
+        {"csv", csv, false, false},
+        {"kv", kv_wrapper, false, true},
+        {"doc", doc, true, true},
+        {"mediator", fedcat::MediatorSource::in_process(&upstream_), true,
+         true},
+    };
+    bindings_["person0"] = ExtentBinding{"people", &map_};
+  }
+
+  struct Served {
+    const char* name;
+    std::shared_ptr<Wrapper> wrapper;
+    bool projects;
+    bool selects_equality;
+  };
+
+  /// Submits `expr` to every wrapper; each one that accepts must answer
+  /// `expected`, and exactly the wrappers `accepts` names may refuse.
+  void expect_everywhere(const algebra::LogicalPtr& expr,
+                         const Value& expected,
+                         const std::function<bool(const Served&)>& accepts) {
+    for (const Served& served : wrappers_) {
+      SCOPED_TRACE(served.name);
+      SubmitResult result = served.wrapper->submit(repo_, expr, bindings_);
+      if (!accepts(served)) {
+        EXPECT_EQ(result.status, SubmitResult::Status::Refused);
+        continue;
+      }
+      ASSERT_EQ(result.status, SubmitResult::Status::Ok) << result.detail;
+      EXPECT_EQ(result.data, expected);
+    }
+  }
+
+  memdb::Database db_{"db"};
+  memdb::Database upstream_db_{"upstream"};
+  kvstore::KvStore kv_{"kv"};
+  docstore::DocStore docs_{"docs"};
+  Mediator upstream_;
+  catalog::TypeMap map_{"people", {{"name", "n"}, {"salary", "s"}}};
+  catalog::Repository repo_{"r", "", "", ""};
+  BindingMap bindings_;
+  std::vector<Value> expected_env_;
+  std::vector<Served> wrappers_;
+};
+
+TEST_F(WrapperBoundary, GetReturnsTheSameEnvRowsFromEveryWrapper) {
+  expect_everywhere(get("person0", "x"), Value::bag(expected_env_),
+                    [](const Served&) { return true; });
+}
+
+TEST_F(WrapperBoundary, PushedProjectionsAgreeWhereAccepted) {
+  std::vector<Value> names;
+  std::vector<Value> structs;
+  for (const Value& env : expected_env_) {
+    const Value& row = env.field("x");
+    names.push_back(row.field("n"));
+    structs.push_back(
+        Value::strct({{"pay", row.field("s")}, {"who", row.field("n")}}));
+  }
+  auto projects = [](const Served& s) { return s.projects; };
+  expect_everywhere(project(get("person0", "x"), parse("x.n"), false),
+                    Value::bag(names), projects);
+  expect_everywhere(
+      project(get("person0", "x"), parse("struct(pay: x.s, who: x.n)"),
+              false),
+      Value::bag(structs), projects);
+}
+
+TEST_F(WrapperBoundary, PushedEqualitySelectionsAgreeWhereAccepted) {
+  expect_everywhere(filter(get("person0", "x"), parse("x.n = \"p3\"")),
+                    Value::bag({expected_env_[3]}),
+                    [](const Served& s) { return s.selects_equality; });
+}
+
+TEST(WrapperRows, RenamesStructRowsThroughTheMap) {
+  catalog::TypeMap map("", {{"name", "n"}});
+  RowBuilder rows = RowBuilder::env();
+  rows.add_struct("x", map);
+  Value row = Value::strct({{"name", Value::string("Mary")},
+                            {"id", Value::integer(1)}});
+  Value renamed = rows.from_struct(row).field("x");
+  EXPECT_EQ(renamed.field("n"), Value::string("Mary"));
+  EXPECT_EQ(renamed.field("id"), Value::integer(1));
+  // Unmapped names pass through, and a row the map leaves alone is the
+  // source row itself.
+  Value untouched = Value::strct({{"id", Value::integer(2)}});
+  EXPECT_EQ(rows.from_struct(untouched).field("x"), untouched);
 }
 
 }  // namespace
