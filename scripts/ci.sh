@@ -6,8 +6,8 @@
 #                                 # + smokes + benchmark answer checks
 #   DISCO_TSAN=1 scripts/ci.sh    # additionally rebuild the concurrency
 #                                 # suites under ThreadSanitizer
-#   DISCO_ASAN=1 scripts/ci.sh    # additionally rebuild the obs suite
-#                                 # under ASan+UBSan
+#   DISCO_ASAN=1 scripts/ci.sh    # additionally rebuild the obs and
+#                                 # value-rule suites under ASan+UBSan
 #   DISCO_BENCH=1 scripts/ci.sh   # additionally run the experiment
 #                                 # benches (writes BENCH_*.json)
 #   DISCO_COVERAGE=1 scripts/ci.sh  # additionally build instrumented,
@@ -57,10 +57,18 @@ if [[ "${DISCO_TSAN:-0}" != "0" ]]; then
 fi
 
 if [[ "${DISCO_ASAN:-0}" != "0" ]]; then
-  echo "== ASan+UBSan pass (obs label) =="
+  echo "== ASan+UBSan pass (obs label + value-rule suites) =="
   cmake -B "$repo/build-asan" -S "$repo" -DDISCO_SANITIZE=address+undefined
-  cmake --build "$repo/build-asan" -j "$(nproc)" --target test_obs
+  # The value rules (src/value/rules.*) and every engine that calls them:
+  # the row evaluator, vec kernels, memdb and the doc differential.
+  value_suites=(test_value test_vec test_memdb test_differential
+                test_doc_differential)
+  cmake --build "$repo/build-asan" -j "$(nproc)" --target test_obs \
+    "${value_suites[@]}"
   ctest --test-dir "$repo/build-asan" -L obs --output-on-failure
+  for suite in "${value_suites[@]}"; do
+    "$repo/build-asan/tests/$suite"
+  done
 fi
 
 if [[ "${DISCO_BENCH:-0}" != "0" ]]; then

@@ -11,6 +11,7 @@
 #include "oql/parser.hpp"
 #include "oql/printer.hpp"
 #include "physical/runtime.hpp"
+#include "value/rules.hpp"
 #include "vec/ops.hpp"
 
 namespace disco {
@@ -529,36 +530,27 @@ namespace {
 /// Local-mode vec fast path: `agg(name)` over a resolver collection,
 /// computed batch-wise when the collection converts to columns and the
 /// kernel covers the case. nullopt hands the expression back to the
-/// evaluator, whose errors (empty min/max, non-numeric sum, unknown
-/// name) then surface exactly as on the row path.
+/// evaluator; both apply the one aggregate rule (value/rules.hpp).
 std::optional<Value> vec_local_aggregate(
     const oql::ExprPtr& expr, const oql::CollectionResolver& resolver,
     const vec::VecOptions& vec_options, obs::Registry* metrics) {
   if (expr == nullptr || expr->kind != oql::ExprKind::Call) {
     return std::nullopt;
   }
-  const std::string& fn = expr->name;
-  if (fn != "sum" && fn != "count" && fn != "min" && fn != "max" &&
-      fn != "avg") {
-    return std::nullopt;
-  }
+  if (!aggregate_named(expr->name).has_value()) return std::nullopt;
   if (expr->args.size() != 1 ||
       expr->args[0]->kind != oql::ExprKind::Ident) {
     return std::nullopt;
   }
   std::optional<Value> collection = resolver.resolve(expr->args[0]->name);
   if (!collection.has_value()) return std::nullopt;
-  const ValueKind kind = collection->kind();
-  if (kind != ValueKind::Bag && kind != ValueKind::Set &&
-      kind != ValueKind::List) {
-    return std::nullopt;
-  }
+  if (!collection->is_collection()) return std::nullopt;
   std::optional<vec::Table> table =
       vec::from_rows(collection->items(), vec_options.batch_rows);
   if (!table.has_value()) return std::nullopt;
   obs::ScopedRate rate(metrics, "vec.agg");
   rate.add_rows(table->rows());
-  return vec::aggregate_table(*table, fn);
+  return vec::aggregate_table(*table, expr->name);
 }
 
 }  // namespace

@@ -269,10 +269,10 @@ class Mediator {
     std::vector<std::pair<std::string, std::string>> aux;
     /// Batch execution (Options::vec) is on for this mediator.
     bool vec = false;
-    /// Which plan operators will run vectorized ("filter", "project",
-    /// "hash join", "union", ...) vs fall back ("merge join (row path)"),
-    /// from a static walk of the chosen plan against the catalog's
-    /// interfaces. Empty when vec is off or the query runs in local mode.
+    /// One "<op> -> vec" or "<op> -> row path" line per mediator-side
+    /// operator ("filter -> vec", "bind join -> row path", ...), from a
+    /// static walk of the chosen plan against the catalog's interfaces.
+    /// Empty when vec is off or the query runs in local mode.
     std::vector<std::string> vec_ops;
 
     std::string to_string() const;

@@ -345,23 +345,14 @@ bool is_pushable_predicate(const oql::ExprPtr& expr,
         case BinaryOp::Or:
           return is_pushable_predicate(expr->left, vars) &&
                  is_pushable_predicate(expr->right, vars);
-        case BinaryOp::Eq:
-        case BinaryOp::Ne:
-        case BinaryOp::Lt:
-        case BinaryOp::Le:
-        case BinaryOp::Gt:
-        case BinaryOp::Ge: {
+        default: {
+          if (!oql::comparison_of(expr->binary_op)) return false;
           auto operand_ok = [&vars](const oql::ExprPtr& e) {
-            if (e->kind == ExprKind::Literal) {
-              return !e->literal.is_collection() &&
-                     e->literal.kind() != ValueKind::Struct;
-            }
+            if (e->kind == ExprKind::Literal) return e->literal.is_scalar();
             return is_var_path(e, vars);
           };
           return operand_ok(expr->left) && operand_ok(expr->right);
         }
-        default:
-          return false;
       }
     }
     default:

@@ -18,12 +18,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "value/rules.hpp"
 #include "value/value.hpp"
 
 namespace disco::oql {
@@ -46,6 +48,15 @@ enum class BinaryOp { Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Le, Gt, Ge, And, Or }
 
 const char* to_string(UnaryOp op);
 const char* to_string(BinaryOp op);
+
+/// The comparison a BinaryOp denotes (value/rules.hpp); nullopt for
+/// arithmetic and the boolean connectives. BinaryOp lists the
+/// comparisons contiguously, in CmpOp's order.
+inline std::optional<CmpOp> comparison_of(BinaryOp op) {
+  if (op < BinaryOp::Eq || op > BinaryOp::Ge) return std::nullopt;
+  return static_cast<CmpOp>(static_cast<int>(op) -
+                            static_cast<int>(BinaryOp::Eq));
+}
 
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;

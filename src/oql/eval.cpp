@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "oql/printer.hpp"
+#include "value/rules.hpp"
 
 namespace disco::oql {
 
@@ -34,24 +35,11 @@ Value Evaluator::eval(const Expr& expr, const Env& env) const {
       }
       throw ExecutionError("unresolved extent closure '" + expr.name + "*'");
     }
-    case ExprKind::Path: {
-      Value base = eval(expr.child, env);
-      // Semi-structured leniency: nil propagates through paths and a
-      // missing struct field reads as nil ("null is a member of every
-      // type, modelling unavailable attribute data" — type_registry).
-      // Heterogeneous document rows legitimately lack fields; a path
-      // over a non-struct non-nil value is still a type error. Wrapper
-      // path evaluation (docstore::DocPath) mirrors these rules exactly
-      // so pushed predicates agree with mediator-side residuals.
-      if (base.kind() == ValueKind::Null) return Value::null();
-      if (base.kind() != ValueKind::Struct) {
-        throw ExecutionError("path '." + expr.name +
-                             "' applied to non-struct value " +
-                             base.to_oql());
-      }
-      if (const Value* found = base.find_field(expr.name)) return *found;
-      return Value::null();
-    }
+    case ExprKind::Path:
+      // Nil propagates and a missing field reads as nil; the one rule
+      // (value/rules.hpp) is shared with docstore::DocPath, so pushed
+      // path predicates agree with mediator-side residuals.
+      return field_step(eval(expr.child, env), expr.name);
     case ExprKind::Unary: {
       Value operand = eval(expr.child, env);
       if (expr.unary_op == UnaryOp::Not) {
@@ -84,39 +72,6 @@ namespace {
 
 bool both_int(const Value& a, const Value& b) {
   return a.kind() == ValueKind::Int && b.kind() == ValueKind::Int;
-}
-
-Value compare_result(const Expr& expr, const Value& a, const Value& b) {
-  // Comparisons other than =/!= require mutually comparable scalars.
-  bool ordered = (a.is_numeric() && b.is_numeric()) ||
-                 (a.kind() == ValueKind::String &&
-                  b.kind() == ValueKind::String) ||
-                 (a.kind() == ValueKind::Bool && b.kind() == ValueKind::Bool);
-  int c = Value::compare(a, b);
-  switch (expr.binary_op) {
-    case BinaryOp::Eq:
-      return Value::boolean(c == 0);
-    case BinaryOp::Ne:
-      return Value::boolean(c != 0);
-    default:
-      break;
-  }
-  if (!ordered) {
-    throw ExecutionError(std::string("cannot order ") + to_string(a.kind()) +
-                         " against " + to_string(b.kind()));
-  }
-  switch (expr.binary_op) {
-    case BinaryOp::Lt:
-      return Value::boolean(c < 0);
-    case BinaryOp::Le:
-      return Value::boolean(c <= 0);
-    case BinaryOp::Gt:
-      return Value::boolean(c > 0);
-    case BinaryOp::Ge:
-      return Value::boolean(c >= 0);
-    default:
-      throw InternalError("non-comparison op in compare_result");
-  }
 }
 
 }  // namespace
@@ -159,8 +114,13 @@ Value Evaluator::eval_binary(const Expr& expr, const Env& env) const {
       if (b.as_int() == 0) throw ExecutionError("mod by zero");
       return Value::integer(a.as_int() % b.as_int());
     }
-    default:
-      return compare_result(expr, a, b);
+    default: {
+      const std::optional<CmpOp> op = comparison_of(expr.binary_op);
+      if (!op.has_value()) {
+        throw InternalError("non-comparison op in eval_binary");
+      }
+      return Value::boolean(comparison_holds(*op, a, b));
+    }
   }
 }
 
@@ -204,9 +164,6 @@ Value Evaluator::eval_call(const Expr& expr, const Env& env) const {
   if (fn == "distinct") {
     return Value::set(arg.items());
   }
-  if (fn == "count") {
-    return Value::integer(static_cast<int64_t>(arg.items().size()));
-  }
   if (fn == "exists") {
     return Value::boolean(!arg.items().empty());
   }
@@ -224,33 +181,8 @@ Value Evaluator::eval_call(const Expr& expr, const Env& env) const {
     }
     return Value::real(std::fabs(arg.as_double()));
   }
-  if (fn == "sum" || fn == "min" || fn == "max" || fn == "avg") {
-    const std::vector<Value>& items = arg.items();
-    if (items.empty()) {
-      if (fn == "sum") return Value::integer(0);
-      if (fn == "avg") return Value::real(0.0);
-      throw ExecutionError(fn + " of an empty collection");
-    }
-    if (fn == "min" || fn == "max") {
-      Value best = items.front();
-      for (const Value& item : items) {
-        int c = Value::compare(item, best);
-        if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) best = item;
-      }
-      return best;
-    }
-    bool all_int = true;
-    double total = 0;
-    int64_t int_total = 0;
-    for (const Value& item : items) {
-      if (item.kind() != ValueKind::Int) all_int = false;
-      total += item.as_double();
-      if (item.kind() == ValueKind::Int) int_total += item.as_int();
-    }
-    if (fn == "sum") {
-      return all_int ? Value::integer(int_total) : Value::real(total);
-    }
-    return Value::real(total / static_cast<double>(items.size()));
+  if (std::optional<Aggregate> agg = aggregate_named(fn)) {
+    return aggregate(*agg, arg.items());
   }
   throw ExecutionError("unknown function '" + fn + "'");
 }

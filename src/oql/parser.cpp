@@ -246,8 +246,7 @@ class Parser {
       require(arity >= 2, "at least two arguments");
       return;
     }
-    if (function == "flatten" || function == "count" || function == "sum" ||
-        function == "min" || function == "max" || function == "avg" ||
+    if (aggregate_named(function) || function == "flatten" ||
         function == "element" || function == "abs" ||
         function == "distinct" || function == "exists") {
       require(arity == 1, "exactly one argument");

@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "common/error.hpp"
+#include "value/rules.hpp"
 
 namespace disco::docstore {
 
@@ -119,19 +120,14 @@ void DocPath::collect(const Value& value, size_t step_index,
   const PathStep& step = steps_[step_index];
   switch (step.kind) {
     case PathStep::Kind::Field: {
-      if (value.kind() == ValueKind::Null) {
-        collect(Value::null(), step_index + 1, below_wildcard, out);
+      if (!below_wildcard) {
+        collect(field_step(value, step.field), step_index + 1, false, out);
         return;
       }
-      if (value.kind() != ValueKind::Struct) {
-        if (below_wildcard) return;  // non-applicable element: no match
-        throw ExecutionError("doc path '" + to_text() + "': field '" +
-                             step.field + "' applied to non-struct value " +
-                             value.to_oql());
+      // Below a wildcard a non-applicable element is no match.
+      if (std::optional<Value> next = try_field_step(value, step.field)) {
+        collect(*next, step_index + 1, true, out);
       }
-      const Value* found = value.find_field(step.field);
-      collect(found != nullptr ? *found : Value::null(), step_index + 1,
-              below_wildcard, out);
       return;
     }
     case PathStep::Kind::Index: {

@@ -13,9 +13,9 @@
 // objects surface as `struct` values, arrays as `List`, and a wildcard
 // path yields the List of all matches.
 //
-// Evaluation mirrors the mediator's own path semantics (oql/eval.cpp)
-// exactly, so a predicate pushed to the source and the same predicate
-// evaluated mediator-side over fetched documents agree:
+// Field steps are the mediator's own (value/rules.hpp field_step, the
+// one oql/eval.cpp uses), so a predicate pushed to the source and the
+// same predicate evaluated mediator-side over fetched documents agree:
 //   * nil propagates through every step;
 //   * a missing object field reads as nil;
 //   * a field step over a non-struct non-nil value is a type error;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <shared_mutex>
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "value/rules.hpp"
 
 namespace disco::memdb {
 
@@ -73,26 +75,9 @@ Value operand_value(const Operand& operand,
 bool eval_pred(const PredPtr& pred, const std::vector<OutColumn>& layout,
                const Row& row) {
   switch (pred->kind) {
-    case Pred::Kind::Cmp: {
-      Value lhs = operand_value(pred->lhs, layout, row);
-      Value rhs = operand_value(pred->rhs, layout, row);
-      int c = Value::compare(lhs, rhs);
-      switch (pred->op) {
-        case CmpOp::Eq:
-          return c == 0;
-        case CmpOp::Ne:
-          return c != 0;
-        case CmpOp::Lt:
-          return c < 0;
-        case CmpOp::Le:
-          return c <= 0;
-        case CmpOp::Gt:
-          return c > 0;
-        case CmpOp::Ge:
-          return c >= 0;
-      }
-      return false;
-    }
+    case Pred::Kind::Cmp:
+      return comparison_holds(pred->op, operand_value(pred->lhs, layout, row),
+                              operand_value(pred->rhs, layout, row));
     case Pred::Kind::And:
       return eval_pred(pred->left, layout, row) &&
              eval_pred(pred->right, layout, row);
@@ -103,6 +88,55 @@ bool eval_pred(const PredPtr& pred, const std::vector<OutColumn>& layout,
       return !eval_pred(pred->left, layout, row);
   }
   return false;
+}
+
+/// What a column can hold: cells of one kind, plus nil when `nullable`.
+struct ColumnDomain {
+  ValueKind kind = ValueKind::Null;
+  bool nullable = true;
+};
+
+/// True when `pred` cannot raise on any row of `layout`: every ordering
+/// comparison has non-nil, mutually orderable operands by static kind.
+bool cannot_raise(const PredPtr& pred, const std::vector<OutColumn>& layout,
+                  const std::vector<ColumnDomain>& domains) {
+  switch (pred->kind) {
+    case Pred::Kind::Cmp: {
+      if (!is_ordering(pred->op)) return true;
+      auto domain = [&](const Operand& operand) {
+        if (operand.kind == Operand::Kind::Literal) {
+          return ColumnDomain{operand.literal.kind(), false};
+        }
+        const int index = find_column(layout, operand.column);
+        return index == -1 ? ColumnDomain{ValueKind::Null, true}
+                           : domains[static_cast<size_t>(index)];
+      };
+      const ColumnDomain lhs = domain(pred->lhs);
+      const ColumnDomain rhs = domain(pred->rhs);
+      return !lhs.nullable && !rhs.nullable && orderable(lhs.kind, rhs.kind);
+    }
+    case Pred::Kind::And:
+    case Pred::Kind::Or:
+      return cannot_raise(pred->left, layout, domains) &&
+             cannot_raise(pred->right, layout, domains);
+    case Pred::Kind::Not:
+      return cannot_raise(pred->left, layout, domains);
+  }
+  return false;
+}
+
+/// The leading conjuncts that cannot raise. Conjuncts short-circuit in
+/// clause order, so a row that fails one of these is never checked
+/// against a later conjunct: skipping it cannot hide an error.
+std::vector<PredPtr> leading_exact(const std::vector<PredPtr>& preds,
+                                   const std::vector<OutColumn>& layout,
+                                   const std::vector<ColumnDomain>& domains) {
+  std::vector<PredPtr> out;
+  for (const PredPtr& pred : preds) {
+    if (!cannot_raise(pred, layout, domains)) break;
+    out.push_back(pred);
+  }
+  return out;
 }
 
 /// Detects an equi-join conjunct linking `left` and `right`; returns the
@@ -147,34 +181,31 @@ Row concat(const Row& a, const Row& b) {
 // classification can never change answers — only skip non-candidates.
 // Index comparator == eval_pred comparator (Value::compare), so the
 // candidate set is exact for the chosen conjunct, nulls and mixed
-// Int/Double keys included.
+// Int/Double keys included. Skipping rows is exact only while no
+// conjunct can raise on a skipped row, so Engine::scan offers the index
+// only the conjuncts leading_exact returns.
 
-struct PointAtom {
+/// A `column op literal` comparison in either operand order, normalized
+/// so the column is on the left (5 < c becomes c > 5).
+struct Atom {
   int column = -1;
-  Value key;
+  CmpOp op = CmpOp::Eq;
+  Value literal;
 };
 
-std::optional<PointAtom> point_atom(const PredPtr& pred,
-                                    const std::vector<OutColumn>& layout) {
-  if (pred->kind != Pred::Kind::Cmp || pred->op != CmpOp::Eq) {
+std::optional<Atom> column_atom(const PredPtr& pred,
+                                const std::vector<OutColumn>& layout) {
+  if (pred->kind != Pred::Kind::Cmp) return std::nullopt;
+  const bool flipped = pred->lhs.kind == Operand::Kind::Literal;
+  const Operand& col = flipped ? pred->rhs : pred->lhs;
+  const Operand& lit = flipped ? pred->lhs : pred->rhs;
+  if (col.kind != Operand::Kind::Column ||
+      lit.kind != Operand::Kind::Literal) {
     return std::nullopt;
   }
-  const Operand* col = nullptr;
-  const Operand* lit = nullptr;
-  if (pred->lhs.kind == Operand::Kind::Column &&
-      pred->rhs.kind == Operand::Kind::Literal) {
-    col = &pred->lhs;
-    lit = &pred->rhs;
-  } else if (pred->rhs.kind == Operand::Kind::Column &&
-             pred->lhs.kind == Operand::Kind::Literal) {
-    col = &pred->rhs;
-    lit = &pred->lhs;
-  } else {
-    return std::nullopt;
-  }
-  int pos = find_column(layout, col->column);
+  const int pos = find_column(layout, col.column);
   if (pos == -1) return std::nullopt;
-  return PointAtom{pos, lit->literal};
+  return Atom{pos, flipped ? mirrored(pred->op) : pred->op, lit.literal};
 }
 
 /// Collects the keys of an OR chain of same-column equalities; false
@@ -185,64 +216,15 @@ bool batch_keys(const PredPtr& pred, const std::vector<OutColumn>& layout,
     return batch_keys(pred->left, layout, column, keys) &&
            batch_keys(pred->right, layout, column, keys);
   }
-  std::optional<PointAtom> atom = point_atom(pred, layout);
-  if (!atom.has_value()) return false;
+  std::optional<Atom> atom = column_atom(pred, layout);
+  if (!atom.has_value() || atom->op != CmpOp::Eq) return false;
   if (*column == -1) {
     *column = atom->column;
   } else if (*column != atom->column) {
     return false;
   }
-  keys->push_back(std::move(atom->key));
+  keys->push_back(std::move(atom->literal));
   return true;
-}
-
-struct RangeAtom {
-  int column = -1;
-  CmpOp op = CmpOp::Lt;
-  Value bound;
-};
-
-std::optional<RangeAtom> range_atom(const PredPtr& pred,
-                                    const std::vector<OutColumn>& layout) {
-  if (pred->kind != Pred::Kind::Cmp) return std::nullopt;
-  CmpOp op = pred->op;
-  if (op == CmpOp::Eq || op == CmpOp::Ne) return std::nullopt;
-  const Operand* col = nullptr;
-  const Operand* lit = nullptr;
-  bool flipped = false;
-  if (pred->lhs.kind == Operand::Kind::Column &&
-      pred->rhs.kind == Operand::Kind::Literal) {
-    col = &pred->lhs;
-    lit = &pred->rhs;
-  } else if (pred->rhs.kind == Operand::Kind::Column &&
-             pred->lhs.kind == Operand::Kind::Literal) {
-    col = &pred->rhs;
-    lit = &pred->lhs;
-    flipped = true;  // 5 < c  ==  c > 5
-  } else {
-    return std::nullopt;
-  }
-  if (flipped) {
-    switch (op) {
-      case CmpOp::Lt:
-        op = CmpOp::Gt;
-        break;
-      case CmpOp::Le:
-        op = CmpOp::Ge;
-        break;
-      case CmpOp::Gt:
-        op = CmpOp::Lt;
-        break;
-      case CmpOp::Ge:
-        op = CmpOp::Le;
-        break;
-      default:
-        break;
-    }
-  }
-  int pos = find_column(layout, col->column);
-  if (pos == -1) return std::nullopt;
-  return RangeAtom{pos, op, lit->literal};
 }
 
 void tighten_low(OrderedIndex::Bound* bound, const Value& value,
@@ -280,13 +262,13 @@ std::optional<std::vector<size_t>> index_candidates(
     const Table& table, const std::vector<OutColumn>& layout,
     const std::vector<PredPtr>& preds, Engine::Stats* stats) {
   for (const PredPtr& pred : preds) {
-    std::optional<PointAtom> atom = point_atom(pred, layout);
-    if (!atom.has_value()) continue;
+    std::optional<Atom> atom = column_atom(pred, layout);
+    if (!atom.has_value() || atom->op != CmpOp::Eq) continue;
     const OrderedIndex* index =
         table.index_on(static_cast<size_t>(atom->column));
     if (index == nullptr) continue;
     std::vector<size_t> ids;
-    index->probe(atom->key, &ids);
+    index->probe(atom->literal, &ids);
     ++stats->index_probes;
     return ids;  // equal-key runs are stored in row-id order
   }
@@ -311,8 +293,8 @@ std::optional<std::vector<size_t>> index_candidates(
   int range_column = -1;
   OrderedIndex::Bound low, high;
   for (const PredPtr& pred : preds) {
-    std::optional<RangeAtom> atom = range_atom(pred, layout);
-    if (!atom.has_value()) continue;
+    std::optional<Atom> atom = column_atom(pred, layout);
+    if (!atom.has_value() || !is_ordering(atom->op)) continue;
     if (table.index_on(static_cast<size_t>(atom->column)) == nullptr) {
       continue;
     }
@@ -320,16 +302,16 @@ std::optional<std::vector<size_t>> index_candidates(
     if (range_column != atom->column) continue;
     switch (atom->op) {
       case CmpOp::Gt:
-        tighten_low(&low, atom->bound, false);
+        tighten_low(&low, atom->literal, false);
         break;
       case CmpOp::Ge:
-        tighten_low(&low, atom->bound, true);
+        tighten_low(&low, atom->literal, true);
         break;
       case CmpOp::Lt:
-        tighten_high(&high, atom->bound, false);
+        tighten_high(&high, atom->literal, false);
         break;
       case CmpOp::Le:
-        tighten_high(&high, atom->bound, true);
+        tighten_high(&high, atom->literal, true);
         break;
       default:
         break;
@@ -369,9 +351,13 @@ Engine::Relation Engine::scan(const TableRef& ref,
                               const std::vector<PredPtr>& preds) {
   const Table& table = database_->table(ref.table);
   Relation out;
+  std::vector<ColumnDomain> domains;
   out.columns.reserve(table.columns().size());
-  for (const Column& col : table.columns()) {
+  for (size_t i = 0; i < table.columns().size(); ++i) {
+    const Column& col = table.columns()[i];
     out.columns.push_back(OutColumn{ref.alias, col.name});
+    domains.push_back(
+        ColumnDomain{value_kind(col.type), table.nil_count(i) > 0});
   }
 
   // Residual re-check: every conjunct runs on every candidate, whether
@@ -385,9 +371,13 @@ Engine::Relation Engine::scan(const TableRef& ref,
     return true;
   };
 
+  // Without an exact conjunct to probe, the scan visits every row in
+  // table order, so it raises at the row the mediator would.
   std::optional<std::vector<size_t>> candidates;
   if (use_indexes_ && !preds.empty() && !table.indexes().empty()) {
-    candidates = index_candidates(table, out.columns, preds, &stats_);
+    candidates = index_candidates(
+        table, out.columns, leading_exact(preds, out.columns, domains),
+        &stats_);
   }
   if (candidates.has_value()) {
     stats_.index_hits += candidates->size();
@@ -406,8 +396,9 @@ Engine::Relation Engine::scan(const TableRef& ref,
 Engine::Relation Engine::join(Relation left, Relation right,
                               const std::vector<PredPtr>& applicable) {
   // Split the applicable predicates into one equi-key (if any) driving the
-  // physical algorithm, and residual predicates evaluated on each joined
-  // candidate.
+  // physical algorithm, and residual predicates evaluated on each
+  // key-matched pair. This is the mediator's hash join split, so the
+  // residual sees the same pairs in the same order and raises alike.
   std::optional<std::pair<int, int>> key;
   std::vector<PredPtr> residual;
   for (const PredPtr& pred : applicable) {
@@ -446,7 +437,6 @@ Engine::Relation Engine::join(Relation left, Relation right,
     case JoinStrategy::NestedLoop: {
       ++stats_.nested_loop_joins;
       // Without an equi key the join predicate (if any) is in `residual`.
-      std::vector<PredPtr> all = residual;
       if (key.has_value()) {
         // Forced nested loop still honours the equi predicate.
         for (const Row& l : left.rows) {
@@ -484,20 +474,29 @@ Engine::Relation Engine::join(Relation left, Relation right,
     }
     case JoinStrategy::Merge: {
       ++stats_.merge_joins;
-      size_t lk = static_cast<size_t>(key->first);
-      size_t rk = static_cast<size_t>(key->second);
-      std::sort(left.rows.begin(), left.rows.end(),
-                [lk](const Row& a, const Row& b) {
-                  return Value::compare(a[lk], b[lk]) < 0;
-                });
-      std::sort(right.rows.begin(), right.rows.end(),
-                [rk](const Row& a, const Row& b) {
-                  return Value::compare(a[rk], b[rk]) < 0;
-                });
+      const size_t lk = static_cast<size_t>(key->first);
+      const size_t rk = static_cast<size_t>(key->second);
+      // Sort row ids by key and pair the equal-key runs, then emit the
+      // pairs in input order (left row major) so the residual sees them
+      // in the order the other strategies do.
+      auto sorted_ids = [](const std::vector<Row>& rows, size_t col) {
+        std::vector<size_t> ids(rows.size());
+        std::iota(ids.begin(), ids.end(), size_t{0});
+        std::sort(ids.begin(), ids.end(), [&](size_t a, size_t b) {
+          return Value::compare(rows[a][col], rows[b][col]) < 0;
+        });
+        return ids;
+      };
+      const std::vector<size_t> ls = sorted_ids(left.rows, lk);
+      const std::vector<size_t> rs = sorted_ids(right.rows, rk);
+      auto cmp = [&](size_t a, size_t b) {
+        return Value::compare(left.rows[ls[a]][lk], right.rows[rs[b]][rk]);
+      };
+      std::vector<std::pair<size_t, size_t>> pairs;
       size_t i = 0;
       size_t j = 0;
-      while (i < left.rows.size() && j < right.rows.size()) {
-        int c = Value::compare(left.rows[i][lk], right.rows[j][rk]);
+      while (i < ls.size() && j < rs.size()) {
+        const int c = cmp(i, j);
         if (c < 0) {
           ++i;
         } else if (c > 0) {
@@ -505,26 +504,20 @@ Engine::Relation Engine::join(Relation left, Relation right,
         } else {
           // Equal-key runs: cross product of the two runs.
           size_t i_end = i;
-          while (i_end < left.rows.size() &&
-                 Value::compare(left.rows[i_end][lk], right.rows[j][rk]) ==
-                     0) {
-            ++i_end;
-          }
+          while (i_end < ls.size() && cmp(i_end, j) == 0) ++i_end;
           size_t j_end = j;
-          while (j_end < right.rows.size() &&
-                 Value::compare(left.rows[i][lk], right.rows[j_end][rk]) ==
-                     0) {
-            ++j_end;
-          }
+          while (j_end < rs.size() && cmp(i, j_end) == 0) ++j_end;
           for (size_t a = i; a < i_end; ++a) {
             for (size_t b = j; b < j_end; ++b) {
-              emit(left.rows[a], right.rows[b]);
+              pairs.emplace_back(ls[a], rs[b]);
             }
           }
           i = i_end;
           j = j_end;
         }
       }
+      std::sort(pairs.begin(), pairs.end());
+      for (const auto& [a, b] : pairs) emit(left.rows[a], right.rows[b]);
       break;
     }
     case JoinStrategy::Auto:

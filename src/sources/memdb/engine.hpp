@@ -7,6 +7,17 @@
 // sort-merge) selected automatically or forced for experiments, and
 // projection. This is the "server" side of the wrapper boundary; the
 // mediator never calls it directly.
+//
+// Comparisons follow the mediator's rule (value/rules.hpp): ordering a
+// nil or mixed-kind pair raises. Evaluation order is fixed, so a clause
+// raises on the row the mediator would: each table is scanned in row
+// order against the conjuncts that mention only it (FROM order), then
+// each join step matches pairs on its first equi conjunct (every pair
+// when it has none), as the mediator's hash join does, and checks the
+// other conjuncts on each matched pair, left row major, in clause order. An index probe skips
+// rows, so it serves only a leading conjunct that, like every conjunct
+// before it, cannot raise — by static operand kinds and the table's nil
+// counts.
 #pragma once
 
 #include <string>

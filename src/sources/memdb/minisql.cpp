@@ -33,9 +33,9 @@ const char* to_string(CmpOp op) {
 
 std::string Operand::to_sql() const {
   if (kind == Kind::Column) return column.to_sql();
-  // MiniSQL literal syntax is compatible with the OQL literal printer for
-  // scalars (memdb stores scalars only).
-  return literal.to_oql();
+  // MiniSQL literal syntax is the OQL literal printer's for scalars
+  // (memdb stores scalars only), except that nil is spelled null.
+  return literal.is_null() ? "null" : literal.to_oql();
 }
 
 PredPtr Pred::cmp(CmpOp op, Operand lhs, Operand rhs) {

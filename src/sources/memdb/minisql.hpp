@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "value/rules.hpp"
 #include "value/value.hpp"
 
 namespace disco::memdb {
@@ -48,8 +49,8 @@ struct Operand {
   std::string to_sql() const;
 };
 
-enum class CmpOp { Eq, Ne, Lt, Le, Gt, Ge };
-
+/// Comparisons are the mediator's (value/rules.hpp); this is their
+/// MiniSQL spelling ("=", "<>", "<", ...).
 const char* to_string(CmpOp op);
 
 struct Pred;

@@ -20,8 +20,24 @@ const char* to_string(ColumnType type) {
   return "?";
 }
 
+ValueKind value_kind(ColumnType type) {
+  switch (type) {
+    case ColumnType::Int:
+      return ValueKind::Int;
+    case ColumnType::Real:
+      return ValueKind::Double;
+    case ColumnType::Text:
+      return ValueKind::String;
+    case ColumnType::Bool:
+      return ValueKind::Bool;
+  }
+  return ValueKind::Null;
+}
+
 Table::Table(std::string name, std::vector<Column> columns)
-    : name_(std::move(name)), columns_(std::move(columns)) {
+    : name_(std::move(name)),
+      columns_(std::move(columns)),
+      nil_counts_(columns_.size(), 0) {
   internal_check(!name_.empty(), "table needs a name");
   internal_check(!columns_.empty(), "table needs at least one column");
   for (size_t i = 0; i < columns_.size(); ++i) {
@@ -75,12 +91,19 @@ void Table::check_row(const Row& row) const {
   }
 }
 
+void Table::count_nils(const Row& row, int delta) {
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].is_null()) nil_counts_[i] += static_cast<size_t>(delta);
+  }
+}
+
 void Table::insert(Row row) {
   check_row(row);
   std::unique_lock lock(*mutex_);
   for (const std::unique_ptr<OrderedIndex>& index : indexes_) {
     index->insert(row[index->column()], rows_.size());
   }
+  count_nils(row, +1);
   rows_.push_back(std::move(row));
 }
 
@@ -98,6 +121,7 @@ void Table::remove_row(size_t row) {
   for (const std::unique_ptr<OrderedIndex>& index : indexes_) {
     index->erase(rows_[row][index->column()], row);
   }
+  count_nils(rows_[row], -1);
   if (row != last) {
     // Swap-pop keeps ids dense; the moved row's entries must re-point.
     for (const std::unique_ptr<OrderedIndex>& index : indexes_) {
@@ -123,6 +147,8 @@ void Table::update_row(size_t row, Row values) {
     index->erase(before, row);
     index->insert(after, row);
   }
+  count_nils(rows_[row], -1);
+  count_nils(values, +1);
   rows_[row] = std::move(values);
 }
 

@@ -21,6 +21,10 @@ enum class ColumnType { Int, Real, Text, Bool };
 
 const char* to_string(ColumnType type);
 
+/// The kind of a non-nil cell (Real columns also accept Ints, which
+/// order alike).
+ValueKind value_kind(ColumnType type);
+
 struct Column {
   std::string name;
   ColumnType type;
@@ -60,6 +64,10 @@ class Table {
 
   const std::vector<Row>& rows() const { return rows_; }
   size_t row_count() const { return rows_.size(); }
+  /// Rows holding nil in column position `column`. Kept on insert,
+  /// update and delete; the engine reads it to know which ordering
+  /// predicates cannot raise.
+  size_t nil_count(size_t column) const { return nil_counts_[column]; }
 
   /// Creates an ordered secondary index over `column` and backfills it
   /// from the existing rows. Throws CatalogError on a duplicate index
@@ -80,10 +88,13 @@ class Table {
 
  private:
   void check_row(const Row& row) const;
+  /// Adds `delta` to the nil count of every column where `row` is nil.
+  void count_nils(const Row& row, int delta);
 
   std::string name_;
   std::vector<Column> columns_;
   std::vector<Row> rows_;
+  std::vector<size_t> nil_counts_;
   std::vector<std::unique_ptr<OrderedIndex>> indexes_;
   /// Behind a pointer so Table stays movable (Database rehashes).
   mutable std::unique_ptr<std::shared_mutex> mutex_ =

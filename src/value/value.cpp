@@ -1,13 +1,10 @@
 #include "value/value.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "value/rules.hpp"
 
 namespace disco {
 
@@ -178,47 +175,15 @@ size_t Value::size() const {
 
 namespace {
 
-/// Rank used by the kind-major total order. Int and Double share a rank so
-/// that numeric comparison is value-based, matching operator==.
-int kind_rank(ValueKind kind) {
-  switch (kind) {
-    case ValueKind::Null:
-      return 0;
-    case ValueKind::Bool:
-      return 1;
-    case ValueKind::Int:
-    case ValueKind::Double:
-      return 2;
-    case ValueKind::String:
-      return 3;
-    case ValueKind::Bag:
-      return 4;
-    case ValueKind::Set:
-      return 5;
-    case ValueKind::List:
-      return 6;
-    case ValueKind::Struct:
-      return 7;
+/// Lexicographic order of two item sequences; a proper prefix sorts first.
+int compare_sequences(const std::vector<Value>& a,
+                      const std::vector<Value>& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const int c = Value::compare(a[i], b[i]);
+    if (c != 0) return c;
   }
-  return 8;
-}
-
-/// NaN ordering rule: IEEE NaN compares unordered against everything,
-/// which would make this function return 0 for NaN vs *any* number and
-/// silently corrupt every structure built on the total order (the
-/// skiplist index, std::map keyed on Value, set dedup, bag sorting).
-/// We give NaN a stable position instead: NaN == NaN, and NaN sorts
-/// after every other number, +inf included. Value::hash canonicalizes
-/// NaN bit patterns to match.
-int compare_doubles(double a, double b) {
-  const bool a_nan = std::isnan(a);
-  const bool b_nan = std::isnan(b);
-  if (a_nan || b_nan) {
-    if (a_nan && b_nan) return 0;
-    return a_nan ? 1 : -1;
-  }
-  if (a < b) return -1;
-  if (a > b) return 1;
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   return 0;
 }
 
@@ -235,7 +200,7 @@ int Value::compare(const Value& a, const Value& b) {
       return static_cast<int>(a.as_bool()) - static_cast<int>(b.as_bool());
     case ValueKind::Int:
     case ValueKind::Double:
-      return compare_doubles(a.as_double(), b.as_double());
+      return compare_numbers(a.as_double(), b.as_double());
     case ValueKind::String:
       return a.as_string().compare(b.as_string());
     case ValueKind::Bag:
@@ -244,27 +209,13 @@ int Value::compare(const Value& a, const Value& b) {
       // Bags compare by sorted content so that equal multisets are equal
       // regardless of arrival order; lists compare positionally.
       if (a.kind() == ValueKind::List) {
-        const auto& ia = a.items();
-        const auto& ib = b.items();
-        size_t n = std::min(ia.size(), ib.size());
-        for (size_t i = 0; i < n; ++i) {
-          int c = compare(ia[i], ib[i]);
-          if (c != 0) return c;
-        }
-        if (ia.size() != ib.size()) return ia.size() < ib.size() ? -1 : 1;
-        return 0;
+        return compare_sequences(a.items(), b.items());
       }
       std::vector<Value> ia = a.items();
       std::vector<Value> ib = b.items();
       std::sort(ia.begin(), ia.end());
       std::sort(ib.begin(), ib.end());
-      size_t n = std::min(ia.size(), ib.size());
-      for (size_t i = 0; i < n; ++i) {
-        int c = compare(ia[i], ib[i]);
-        if (c != 0) return c;
-      }
-      if (ia.size() != ib.size()) return ia.size() < ib.size() ? -1 : 1;
-      return 0;
+      return compare_sequences(ia, ib);
     }
     case ValueKind::Struct: {
       const auto& fa = a.fields();
@@ -299,20 +250,11 @@ uint64_t Value::hash() const {
       mix(as_bool() ? 1 : 2);
       break;
     case ValueKind::Int:
-    case ValueKind::Double: {
-      double d = as_double();
-      if (d == 0.0) d = 0.0;  // normalize -0.0
-      // All NaN bit patterns are one equivalence class under compare()
-      // (NaN == NaN), so they must hash alike.
-      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(bits));
-      mix(bits);
+    case ValueKind::Double:
+      mix(number_bits(as_double()));
       break;
-    }
     case ValueKind::String:
-      mix(fnv1a(as_string().data(), as_string().size()));
+      mix(string_hash(as_string()));
       break;
     case ValueKind::Bag:
     case ValueKind::Set: {
@@ -329,7 +271,7 @@ uint64_t Value::hash() const {
       break;
     case ValueKind::Struct:
       for (const auto& [name, value] : fields()) {
-        mix(fnv1a(name.data(), name.size()));
+        mix(string_hash(name));
         mix(value.hash());
       }
       break;

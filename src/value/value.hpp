@@ -22,6 +22,8 @@
 
 namespace disco {
 
+/// Declaration order is the kind-major order of Value::compare (Int and
+/// Double share a rank; value/rules.hpp kind_rank).
 enum class ValueKind { Null, Bool, Int, Double, String, Bag, Set, List, Struct };
 
 /// Human-readable kind name ("bag", "struct", ...).
@@ -51,6 +53,8 @@ class Value {
   bool is_numeric() const {
     return kind() == ValueKind::Int || kind() == ValueKind::Double;
   }
+  /// Null, bool, int, double or string.
+  bool is_scalar() const { return kind() <= ValueKind::String; }
 
   /// Accessors throw ExecutionError when the kind does not match.
   bool as_bool() const;

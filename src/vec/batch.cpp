@@ -1,10 +1,7 @@
 #include "vec/batch.hpp"
 
-#include <cmath>
-#include <cstring>
-#include <limits>
-
 #include "common/error.hpp"
+#include "value/rules.hpp"
 
 namespace disco::vec {
 
@@ -181,75 +178,19 @@ void Column::reserve(size_t rows) {
   }
 }
 
-namespace {
-
-/// Value::compare's kind-major rank restricted to scalars.
-int cell_rank(ColType type) {
-  switch (type) {
-    case ColType::Untyped:
-      return 0;  // only nulls live here
-    case ColType::Bool:
-      return 1;
-    case ColType::Int:
-    case ColType::Double:
-      return 2;
-    case ColType::String:
-      return 3;
-  }
-  return 4;
-}
-
-/// Mirror of value.cpp's compare_doubles, NaN rule included: NaN == NaN
-/// and NaN sorts after every other number (+inf included), so batch
-/// kernels and the row path agree on the total order.
-int compare_doubles(double a, double b) {
-  const bool a_nan = std::isnan(a);
-  const bool b_nan = std::isnan(b);
-  if (a_nan || b_nan) {
-    if (a_nan && b_nan) return 0;
-    return a_nan ? 1 : -1;
-  }
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
-}
-
-uint64_t fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 int Column::compare_cells(size_t row, const Column& other,
                           size_t other_row) const {
-  const bool a_null = is_null(row);
-  const bool b_null = other.is_null(other_row);
-  if (a_null || b_null) {
-    if (a_null && b_null) return 0;
-    return a_null ? -1 : 1;  // nil ranks below every scalar
-  }
-  const int ra = cell_rank(type_);
-  const int rb = cell_rank(other.type_);
+  const int ra = kind_rank(kind_at(row));
+  const int rb = kind_rank(other.kind_at(other_row));
   if (ra != rb) return ra < rb ? -1 : 1;
+  if (is_null(row)) return 0;
   switch (type_) {
     case ColType::Bool:
       return static_cast<int>(bools_[row]) -
              static_cast<int>(other.bools_[other_row]);
     case ColType::Int:
-    case ColType::Double: {
-      const double a = type_ == ColType::Int
-                           ? static_cast<double>(ints_[row])
-                           : doubles_[row];
-      const double b = other.type_ == ColType::Int
-                           ? static_cast<double>(other.ints_[other_row])
-                           : other.doubles_[other_row];
-      return compare_doubles(a, b);
-    }
+    case ColType::Double:
+      return compare_numbers(number_at(row), other.number_at(other_row));
     case ColType::String:
       return strings_[row].compare(other.strings_[other_row]);
     case ColType::Untyped:
@@ -259,39 +200,17 @@ int Column::compare_cells(size_t row, const Column& other,
 }
 
 int Column::compare_cell_value(size_t row, const Value& value) const {
-  const bool a_null = is_null(row);
-  const bool b_null = value.kind() == ValueKind::Null;
-  if (a_null || b_null) {
-    if (a_null && b_null) return 0;
-    return a_null ? -1 : 1;
-  }
-  int rb;
-  switch (value.kind()) {
-    case ValueKind::Bool:
-      rb = 1;
-      break;
-    case ValueKind::Int:
-    case ValueKind::Double:
-      rb = 2;
-      break;
-    case ValueKind::String:
-      rb = 3;
-      break;
-    default:
-      rb = 4;  // collections and structs rank above every scalar
-      break;
-  }
-  const int ra = cell_rank(type_);
+  const int ra = kind_rank(kind_at(row));
+  const int rb = kind_rank(value.kind());
   if (ra != rb) return ra < rb ? -1 : 1;
+  if (is_null(row)) return 0;
   switch (type_) {
     case ColType::Bool:
       return static_cast<int>(bools_[row]) -
              static_cast<int>(value.as_bool() ? 1 : 0);
     case ColType::Int:
-      return compare_doubles(static_cast<double>(ints_[row]),
-                             value.as_double());
     case ColType::Double:
-      return compare_doubles(doubles_[row], value.as_double());
+      return compare_numbers(number_at(row), value.as_double());
     case ColType::String:
       return strings_[row].compare(value.as_string());
     case ColType::Untyped:
@@ -307,21 +226,13 @@ uint64_t Column::hash_cell(size_t row) const {
       return bools_[row] ? 0x9e3779b97f4a7c15ULL : 0xc2b2ae3d27d4eb4fULL;
     case ColType::Int:
     case ColType::Double: {
-      // Int 1 and Double 1.0 are equal cells, so they must collide:
-      // hash the double image's bits (normalizing -0.0), like
-      // Value::hash.
-      double d = type_ == ColType::Int ? static_cast<double>(ints_[row])
-                                       : doubles_[row];
-      if (d == 0.0) d = 0.0;
-      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
+      uint64_t bits = number_bits(number_at(row));
       bits *= 0xff51afd7ed558ccdULL;
       bits ^= bits >> 33;
       return bits;
     }
     case ColType::String:
-      return fnv1a(strings_[row].data(), strings_[row].size());
+      return string_hash(strings_[row]);
     case ColType::Untyped:
       break;
   }
@@ -358,25 +269,12 @@ size_t Table::rows() const {
 
 namespace {
 
-bool is_scalar_kind(ValueKind kind) {
-  switch (kind) {
-    case ValueKind::Null:
-    case ValueKind::Bool:
-    case ValueKind::Int:
-    case ValueKind::Double:
-    case ValueKind::String:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Derives the common layout from the first row. nullopt when the row
 /// is not flat (nested collections, mixed struct/scalar fields, an env
 /// var with zero attributes).
 std::optional<Schema> schema_of(const Value& row) {
   Schema schema;
-  if (is_scalar_kind(row.kind())) {
+  if (row.is_scalar()) {
     schema.shape = RowShape::Scalar;
     schema.columns.push_back({"", ""});
     return schema;
@@ -395,7 +293,7 @@ std::optional<Schema> schema_of(const Value& row) {
         return std::nullopt;
       }
       for (const auto& [attr, cell] : inner.fields()) {
-        if (!is_scalar_kind(cell.kind())) return std::nullopt;
+        if (!cell.is_scalar()) return std::nullopt;
         schema.columns.push_back({var, attr});
       }
     }
@@ -403,7 +301,7 @@ std::optional<Schema> schema_of(const Value& row) {
   }
   schema.shape = RowShape::Flat;
   for (const auto& [name, cell] : fields) {
-    if (!is_scalar_kind(cell.kind())) return std::nullopt;
+    if (!cell.is_scalar()) return std::nullopt;
     schema.columns.push_back({"", name});
   }
   return schema;
@@ -414,7 +312,7 @@ std::optional<Schema> schema_of(const Value& row) {
 bool append_row(const Schema& schema, const Value& row, ColumnBatch* batch) {
   switch (schema.shape) {
     case RowShape::Scalar:
-      if (!is_scalar_kind(row.kind())) return false;
+      if (!row.is_scalar()) return false;
       if (!batch->columns[0]->append(row)) return false;
       break;
     case RowShape::Flat: {

@@ -48,9 +48,17 @@ struct VecOptions {
 
 /// Storage type of one column. Untyped means no non-null cell has been
 /// seen yet (an all-nil column converts and round-trips as all nils).
+/// The types follow ValueKind's order, Untyped in Null's place.
 enum class ColType : uint8_t { Untyped, Bool, Int, Double, String };
 
 const char* to_string(ColType type);
+
+/// The Value kind a non-null cell of `type` has (Null for Untyped).
+inline ValueKind kind_of(ColType type) {
+  static_assert(static_cast<int>(ColType::String) ==
+                static_cast<int>(ValueKind::String));
+  return static_cast<ValueKind>(type);
+}
 
 /// One typed column vector plus a null bitmap. Append-only while being
 /// built; treated as immutable once inside a ColumnBatch (batches share
@@ -74,10 +82,18 @@ class Column {
 
   /// Rebuilds the cell as a Value (nil for null bits).
   Value value_at(size_t row) const;
+  /// The kind value_at(row) would have, without building it.
+  ValueKind kind_at(size_t row) const {
+    return is_null(row) ? ValueKind::Null : kind_of(type_);
+  }
+  /// A non-null numeric cell as a double.
+  double number_at(size_t row) const {
+    return type_ == ColType::Int ? static_cast<double>(ints_[row])
+                                 : doubles_[row];
+  }
 
   /// Total order over cells matching Value::compare on the rebuilt
-  /// values: kind-rank major (nil < bool < numeric < string), numerics
-  /// compared as doubles so Int 1 == Double 1.0.
+  /// values (the scalar order of value/rules.hpp).
   int compare_cells(size_t row, const Column& other, size_t other_row) const;
   int compare_cell_value(size_t row, const Value& value) const;
   /// Equality-consistent hash (Int 1 and Double 1.0 collide on purpose).

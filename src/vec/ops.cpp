@@ -5,74 +5,11 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "value/rules.hpp"
 
 namespace disco::vec {
 
 namespace {
-
-ValueKind kind_of(ColType type) {
-  switch (type) {
-    case ColType::Bool:
-      return ValueKind::Bool;
-    case ColType::Int:
-      return ValueKind::Int;
-    case ColType::Double:
-      return ValueKind::Double;
-    case ColType::String:
-      return ValueKind::String;
-    case ColType::Untyped:
-      break;
-  }
-  return ValueKind::Null;
-}
-
-ValueKind cell_kind(const Column& column, size_t row) {
-  return column.is_null(row) ? ValueKind::Null : kind_of(column.type());
-}
-
-bool is_numeric_kind(ValueKind kind) {
-  return kind == ValueKind::Int || kind == ValueKind::Double;
-}
-
-/// compare_result's orderability rule: </<=/>/>= need mutually
-/// comparable scalars; anything else (nil included) throws.
-bool ordered_kinds(ValueKind a, ValueKind b) {
-  return (is_numeric_kind(a) && is_numeric_kind(b)) ||
-         (a == ValueKind::String && b == ValueKind::String) ||
-         (a == ValueKind::Bool && b == ValueKind::Bool);
-}
-
-bool is_ordering_op(oql::BinaryOp op) {
-  return op == oql::BinaryOp::Lt || op == oql::BinaryOp::Le ||
-         op == oql::BinaryOp::Gt || op == oql::BinaryOp::Ge;
-}
-
-[[noreturn]] void throw_unordered(ValueKind a, ValueKind b) {
-  // Byte-identical to oql::Evaluator's compare_result error.
-  throw ExecutionError(std::string("cannot order ") + to_string(a) +
-                       " against " + to_string(b));
-}
-
-bool apply_op(oql::BinaryOp op, int c) {
-  switch (op) {
-    case oql::BinaryOp::Eq:
-      return c == 0;
-    case oql::BinaryOp::Ne:
-      return c != 0;
-    case oql::BinaryOp::Lt:
-      return c < 0;
-    case oql::BinaryOp::Le:
-      return c <= 0;
-    case oql::BinaryOp::Gt:
-      return c > 0;
-    case oql::BinaryOp::Ge:
-      return c >= 0;
-    default:
-      throw InternalError("non-comparison op in predicate program");
-  }
-}
-
-ValueKind literal_kind(const Value& v) { return v.kind(); }
 
 /// Tight loops for the dominant shapes: a null-free numeric or string
 /// column against a literal of the same kind family. Returns false when
@@ -84,24 +21,23 @@ bool eval_cmp_fast(const PredNode& node, const ColumnBatch& batch,
   const Column& col = *batch.columns[node.left_col];
   if (col.has_nulls()) return false;
   const Value& lit = node.right_lit;
-  const oql::BinaryOp op = node.op;
+  const CmpOp op = node.op;
   const size_t n = batch.rows;
   if ((col.type() == ColType::Int || col.type() == ColType::Double) &&
-      is_numeric_kind(lit.kind())) {
+      lit.is_numeric()) {
     const double rhs = lit.as_double();
     if (col.type() == ColType::Int) {
       const int64_t* cells = col.ints().data();
       for (size_t i = 0; i < n; ++i) {
         if (!candidates[i]) continue;
-        const double lhs = static_cast<double>(cells[i]);
-        (*out)[i] = apply_op(op, lhs < rhs ? -1 : (lhs > rhs ? 1 : 0));
+        (*out)[i] =
+            holds(op, compare_numbers(static_cast<double>(cells[i]), rhs));
       }
     } else {
       const double* cells = col.doubles().data();
       for (size_t i = 0; i < n; ++i) {
         if (!candidates[i]) continue;
-        (*out)[i] =
-            apply_op(op, cells[i] < rhs ? -1 : (cells[i] > rhs ? 1 : 0));
+        (*out)[i] = holds(op, compare_numbers(cells[i], rhs));
       }
     }
     return true;
@@ -111,7 +47,7 @@ bool eval_cmp_fast(const PredNode& node, const ColumnBatch& batch,
     const std::vector<std::string>& cells = col.strings();
     for (size_t i = 0; i < n; ++i) {
       if (!candidates[i]) continue;
-      (*out)[i] = apply_op(op, cells[i].compare(rhs));
+      (*out)[i] = holds(op, cells[i].compare(rhs));
     }
     return true;
   }
@@ -126,14 +62,11 @@ void eval_cmp(const PredNode& node, const ColumnBatch& batch,
       node.left_col >= 0 ? batch.columns[node.left_col].get() : nullptr;
   const Column* rc =
       node.right_col >= 0 ? batch.columns[node.right_col].get() : nullptr;
-  const bool ordering = is_ordering_op(node.op);
   for (size_t i = 0; i < batch.rows; ++i) {
     if (!candidates[i]) continue;
-    const ValueKind lk = lc != nullptr ? cell_kind(*lc, i)
-                                       : literal_kind(node.left_lit);
-    const ValueKind rk = rc != nullptr ? cell_kind(*rc, i)
-                                       : literal_kind(node.right_lit);
-    if (ordering && !ordered_kinds(lk, rk)) throw_unordered(lk, rk);
+    check_comparable(node.op,
+                     lc != nullptr ? lc->kind_at(i) : node.left_lit.kind(),
+                     rc != nullptr ? rc->kind_at(i) : node.right_lit.kind());
     int c;
     if (lc != nullptr && rc != nullptr) {
       c = lc->compare_cells(i, *rc, i);
@@ -142,7 +75,7 @@ void eval_cmp(const PredNode& node, const ColumnBatch& batch,
     } else {
       c = -rc->compare_cell_value(i, node.left_lit);
     }
-    (*out)[i] = apply_op(node.op, c);
+    (*out)[i] = holds(node.op, c);
   }
 }
 
@@ -184,25 +117,12 @@ std::vector<uint8_t> eval_node(const PredNode& node, const ColumnBatch& batch,
   throw InternalError("corrupt predicate program");
 }
 
-bool is_scalar_literal(const Value& v) {
-  switch (v.kind()) {
-    case ValueKind::Null:
-    case ValueKind::Bool:
-    case ValueKind::Int:
-    case ValueKind::Double:
-    case ValueKind::String:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Resolves a comparison operand: a var.attr path into a column index,
 /// or a scalar literal. False on anything else.
 bool resolve_operand(const oql::ExprPtr& e, const Schema& schema, int* col,
                      Value* lit) {
   if (e->kind == oql::ExprKind::Literal) {
-    if (!is_scalar_literal(e->literal)) return false;
+    if (!e->literal.is_scalar()) return false;
     *lit = e->literal;
     return true;
   }
@@ -248,20 +168,11 @@ std::unique_ptr<PredNode> compile_node(const oql::ExprPtr& e,
         node->b = std::move(b);
         return node;
       }
-      switch (e->binary_op) {
-        case oql::BinaryOp::Eq:
-        case oql::BinaryOp::Ne:
-        case oql::BinaryOp::Lt:
-        case oql::BinaryOp::Le:
-        case oql::BinaryOp::Gt:
-        case oql::BinaryOp::Ge:
-          break;
-        default:
-          return nullptr;  // arithmetic inside predicates: row path
-      }
+      std::optional<CmpOp> op = oql::comparison_of(e->binary_op);
+      if (!op.has_value()) return nullptr;  // arithmetic: row path
       auto node = std::make_unique<PredNode>();
       node->kind = PredNode::Kind::Cmp;
-      node->op = e->binary_op;
+      node->op = *op;
       if (!resolve_operand(e->left, schema, &node->left_col,
                            &node->left_lit) ||
           !resolve_operand(e->right, schema, &node->right_col,
@@ -532,34 +443,27 @@ bool concat_tables(Table* into, Table&& part) {
 }
 
 std::optional<Value> aggregate_table(const Table& table,
-                                     const std::string& fn) {
+                                     std::string_view name) {
+  const std::optional<Aggregate> agg = aggregate_named(name);
+  if (!agg.has_value()) return std::nullopt;
+  const Aggregate fn = *agg;
   const size_t rows = table.rows();
-  if (fn == "count") return Value::integer(static_cast<int64_t>(rows));
-  if (fn != "sum" && fn != "min" && fn != "max" && fn != "avg") {
-    return std::nullopt;
-  }
-  if (rows == 0) {
-    // eval_call: empty sum is Int 0, empty avg is real 0, empty min/max
-    // throws — decline so the evaluator raises its own error.
-    if (fn == "sum") return Value::integer(0);
-    if (fn == "avg") return Value::real(0.0);
-    return std::nullopt;
+  if (rows == 0) return empty_aggregate(fn);
+  if (fn == Aggregate::Count) {
+    return Value::integer(static_cast<int64_t>(rows));
   }
   if (table.schema.shape != RowShape::Scalar ||
       table.schema.columns.size() != 1) {
     return std::nullopt;
   }
-  if (fn == "min" || fn == "max") {
-    // Value::compare over scalars, first-wins on ties (strict compare),
-    // exactly as the evaluator's scan.
+  if (fn == Aggregate::Min || fn == Aggregate::Max) {
     const ColumnBatch* best_batch = &table.batches.front();
     size_t best_row = 0;
     for (const ColumnBatch& batch : table.batches) {
       for (size_t r = 0; r < batch.rows; ++r) {
-        if (&batch == best_batch && r == 0) continue;
         const int c = batch.columns[0]->compare_cells(
             r, *best_batch->columns[0], best_row);
-        if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) {
+        if (replaces(fn, c)) {
           best_batch = &batch;
           best_row = r;
         }
@@ -567,50 +471,23 @@ std::optional<Value> aggregate_table(const Table& table,
     }
     return best_batch->columns[0]->value_at(best_row);
   }
-  // sum/avg: numeric, null-free columns only; the evaluator adds every
-  // item as a double in row order — reproduce that exact accumulation.
-  bool all_int = true;
-  double total = 0;
-  int64_t int_total = 0;
+  // sum/avg over numeric, null-free columns; anything else goes back to
+  // the evaluator, which raises the rule's error.
+  NumericSum acc;
   for (const ColumnBatch& batch : table.batches) {
     const Column& column = *batch.columns[0];
     if (column.has_nulls()) return std::nullopt;
     if (column.type() == ColType::Int) {
-      for (size_t r = 0; r < batch.rows; ++r) {
-        total += static_cast<double>(column.ints()[r]);
-        int_total += column.ints()[r];
-      }
+      for (size_t r = 0; r < batch.rows; ++r) acc.add_int(column.ints()[r]);
     } else if (column.type() == ColType::Double) {
-      all_int = false;
-      for (size_t r = 0; r < batch.rows; ++r) total += column.doubles()[r];
+      for (size_t r = 0; r < batch.rows; ++r) {
+        acc.add_double(column.doubles()[r]);
+      }
     } else {
       return std::nullopt;
     }
   }
-  if (fn == "sum") {
-    return all_int ? Value::integer(int_total) : Value::real(total);
-  }
-  return Value::real(total / static_cast<double>(rows));
-}
-
-bool vec_batchable(const algebra::LogicalPtr& node) {
-  switch (node->op) {
-    case algebra::LOp::Get:
-      return true;
-    case algebra::LOp::Filter:
-      return vec_batchable(node->child);
-    case algebra::LOp::Submit:
-      return vec_batchable(node->child);
-    case algebra::LOp::Join:
-      return vec_batchable(node->left) && vec_batchable(node->right);
-    case algebra::LOp::Union:
-      for (const algebra::LogicalPtr& child : node->children) {
-        if (!vec_batchable(child)) return false;
-      }
-      return !node->children.empty();
-    default:
-      return false;
-  }
+  return acc.result(fn);
 }
 
 std::optional<Schema> static_schema(const algebra::LogicalPtr& remote,

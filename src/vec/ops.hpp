@@ -8,21 +8,19 @@
 // semantics exactly (the differential harness in
 // tests/test_vec_differential.cpp is the proof obligation):
 //
-//   * comparisons follow oql::Evaluator's compare_result — Eq/Ne are
-//     total under Value::compare's kind ranks, ordering a nil or
-//     mixed-kind pair throws the same ExecutionError;
+//   * comparisons, the scalar order and aggregation call the value
+//     rules (value/rules.hpp) the row evaluator calls, in typed loops:
+//     ordering a nil or mixed-kind pair raises the rule's error;
 //   * and/or/not mirror the evaluator's short-circuit by evaluating each
 //     subterm only on the rows the row path would reach (masked
 //     evaluation), so data-dependent errors fire for the same rows;
 //   * hash join equals POp::HashJoin output as a bag (build right,
-//     probe left in order, equality recheck after the hash);
-//   * aggregation mirrors eval_call: sum is Int iff every item is Int,
-//     avg is always real, empty sum/avg are Int 0 / real 0, empty
-//     min/max decline so the evaluator can throw its own error.
+//     probe left in order, equality recheck after the hash).
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algebra/logical.hpp"
@@ -41,7 +39,7 @@ struct PredNode {
   bool const_value = false;  // Const
 
   // Cmp: left/right operand is a column (index >= 0) or `*_lit`.
-  oql::BinaryOp op = oql::BinaryOp::Eq;
+  CmpOp op = CmpOp::Eq;
   int left_col = -1;
   int right_col = -1;
   Value left_lit;
@@ -107,22 +105,15 @@ Table hash_join_tables(const Table& left, const Table& right, int left_col,
 /// must fall back to row concatenation.
 bool concat_tables(Table* into, Table&& part);
 
-/// Aggregates a Scalar-shaped table, mirroring oql::Evaluator::eval_call
-/// ("sum", "count", "min", "max", "avg"). nullopt when this kernel
-/// cannot reproduce the evaluator exactly (non-scalar shape, nulls or
-/// non-numerics under sum/avg, empty min/max — the caller re-evaluates
-/// on the row path, which also reproduces the evaluator's errors).
+/// Aggregates a Scalar-shaped table under the aggregate rule ("count",
+/// "sum", "avg", "min", "max"); an empty min/max raises the rule's
+/// error. nullopt for any other name or when a kernel cannot take the
+/// input (non-scalar shape, nulls or non-numerics under sum/avg) — the
+/// caller re-evaluates on the row path, which raises the rule's errors.
 std::optional<Value> aggregate_table(const Table& table,
-                                     const std::string& fn);
+                                     std::string_view name);
 
-// -- static eligibility (optimizer / explain) ------------------------------
-
-/// Static shape test: does this logical subtree produce env rows the
-/// converters accept (get/filter/join/union/submit shapes)? Projections
-/// compute values and constants are data-dependent — both false. Used by
-/// the optimizer's vec-aware join choice; actual rows can still fall
-/// back (a source may return non-flat values), which is always safe.
-bool vec_batchable(const algebra::LogicalPtr& node);
+// -- static shape (explain) --------------------------------------------------
 
 /// The Env schema an exec leaf's reply will have, derived from the
 /// remote expression's get nodes and the catalog's interfaces — the

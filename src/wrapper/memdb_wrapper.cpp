@@ -175,28 +175,8 @@ class Translator {
         if (std::holds_alternative<Refusal>(left)) return left;
         auto right = translate_operand(*expr.right);
         if (std::holds_alternative<Refusal>(right)) return right;
-        const char* op = nullptr;
-        switch (expr.binary_op) {
-          case BinaryOp::Eq:
-            op = " = ";
-            break;
-          case BinaryOp::Ne:
-            op = " <> ";
-            break;
-          case BinaryOp::Lt:
-            op = " < ";
-            break;
-          case BinaryOp::Le:
-            op = " <= ";
-            break;
-          case BinaryOp::Gt:
-            op = " > ";
-            break;
-          default:
-            op = " >= ";
-            break;
-        }
-        return std::get<std::string>(left) + op +
+        return std::get<std::string>(left) + " " +
+               memdb::to_string(*oql::comparison_of(expr.binary_op)) + " " +
                std::get<std::string>(right);
       }
       default:
@@ -209,10 +189,10 @@ class Translator {
   OrRefusal<std::string> translate_operand(const oql::Expr& expr) {
     if (expr.kind == oql::ExprKind::Literal) {
       const Value& v = expr.literal;
-      if (v.is_collection() || v.kind() == ValueKind::Struct) {
+      if (!v.is_scalar()) {
         return Refusal{"collection literal in a source predicate"};
       }
-      return v.to_oql();
+      return memdb::Operand::lit(v).to_sql();
     }
     if (expr.kind == oql::ExprKind::Path) {
       return translate_path(expr);

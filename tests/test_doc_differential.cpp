@@ -1,9 +1,9 @@
 // The doc-vs-relational differential: the proof obligation for the
 // document source (src/sources/docstore/).
 //
-// One seeded generator builds a random flat federation — 1-2 interfaces
-// of 2-4 attributes, 1-3 member extents each, 0-25 rows per extent with
-// occasional nils in the payload attributes — and materializes the SAME
+// The shared generator (differential.hpp) builds a random flat
+// federation — 1-2 interfaces of 2-4 attributes, 1-3 member extents
+// each, 0-25 rows per extent with occasional nils — and materializes the SAME
 // logical data twice: as memdb tables behind the MiniSQL wrapper, and as
 // document collections (structs with identical field order, k-indexed)
 // behind the doc wrapper. Both federations answer the same generated
@@ -29,89 +29,18 @@
 // `ctest -L docstore` and `ctest -L concurrency`.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/disco.hpp"
+#include "differential.hpp"
 
 namespace disco {
 namespace {
 
-enum class AttrKind { Long, Dbl, Str, Boolean };
-
-struct AttrSpec {
-  std::string name;
-  AttrKind kind;
-};
-
-struct IfaceSpec {
-  std::string name;
-  std::string collective;
-  std::vector<AttrSpec> attrs;
-  std::vector<std::string> members;  ///< extent == table == collection name
-};
-
-const char* odl_type(AttrKind kind) {
-  switch (kind) {
-    case AttrKind::Long:
-      return "Long";
-    case AttrKind::Dbl:
-      return "Double";
-    case AttrKind::Str:
-      return "String";
-    case AttrKind::Boolean:
-      return "Boolean";
-  }
-  return "Long";
-}
-
-memdb::ColumnType memdb_type(AttrKind kind) {
-  switch (kind) {
-    case AttrKind::Long:
-      return memdb::ColumnType::Int;
-    case AttrKind::Dbl:
-      return memdb::ColumnType::Real;
-    case AttrKind::Str:
-      return memdb::ColumnType::Text;
-    case AttrKind::Boolean:
-      return memdb::ColumnType::Bool;
-  }
-  return memdb::ColumnType::Int;
-}
-
-/// Small domains on purpose: joins must hit, distinct must dedup.
-Value random_cell(std::mt19937& rng, AttrKind kind, int null_pct) {
-  if (static_cast<int>(rng() % 100) < null_pct) return Value::null();
-  switch (kind) {
-    case AttrKind::Long:
-      return Value::integer(static_cast<int64_t>(rng() % 8));
-    case AttrKind::Dbl:
-      return Value::real(static_cast<double>(rng() % 16) / 2.0);
-    case AttrKind::Str:
-      return Value::string("s" + std::to_string(rng() % 5));
-    case AttrKind::Boolean:
-      return Value::boolean(rng() % 2 == 0);
-  }
-  return Value::null();
-}
-
-std::string random_literal(std::mt19937& rng, AttrKind kind) {
-  switch (kind) {
-    case AttrKind::Long:
-      return std::to_string(rng() % 8);
-    case AttrKind::Dbl:
-      return std::to_string(rng() % 8) + ".5";
-    case AttrKind::Str:
-      return "\"s" + std::to_string(rng() % 5) + "\"";
-    case AttrKind::Boolean:
-      return rng() % 2 == 0 ? "true" : "false";
-  }
-  return "0";
-}
+using namespace differential;
 
 /// One random federation, materialized twice over the same generated
 /// rows: `rel` (memdb tables) and `doc` (document collections).
@@ -121,46 +50,25 @@ struct TwinWorld {
     db = std::make_unique<memdb::Database>("db");
     store = std::make_unique<docstore::DocStore>("docs");
 
-    const size_t num_ifaces = 1 + rng() % 2;
-    for (size_t i = 0; i < num_ifaces; ++i) {
-      IfaceSpec iface;
-      iface.name = "I" + std::to_string(i);
-      iface.collective = "c" + std::to_string(i);
-      // k is never nil: ordering predicates use k only, and a nil under
-      // an ordering comparison is mediator-side for the doc wrapper but
-      // source-side for MiniSQL — the twins could legitimately disagree
-      // on *which* error surfaces. Equality (total, nil included) runs
-      // over every attribute.
-      iface.attrs.push_back({"k", AttrKind::Long});
-      const size_t extra = 1 + rng() % 3;
-      for (size_t a = 0; a < extra; ++a) {
-        iface.attrs.push_back(
-            {"a" + std::to_string(a), static_cast<AttrKind>(rng() % 4)});
-      }
-      const size_t members = 1 + rng() % 3;
-      for (size_t m = 0; m < members; ++m) {
-        iface.members.push_back(iface.collective + "_" + std::to_string(m));
-      }
-      ifaces.push_back(std::move(iface));
-    }
+    ifaces = random_ifaces(rng, /*num_repos=*/1);
 
     // Generate rows once; both sources load identical data with
     // identical field order (struct order matters for Value equality).
     for (const IfaceSpec& iface : ifaces) {
-      for (const std::string& member : iface.members) {
+      for (const MemberSpec& member : iface.members) {
         std::vector<memdb::Column> defs;
         for (const AttrSpec& attr : iface.attrs) {
           defs.push_back({attr.name, memdb_type(attr.kind)});
         }
-        memdb::Table& table = db->create_table(member, defs);
-        docstore::DocCollection& collection = store->create_collection(member);
+        memdb::Table& table = db->create_table(member.name, defs);
+        docstore::DocCollection& collection =
+            store->create_collection(member.name);
         const size_t rows = rng() % 26;
         for (size_t r = 0; r < rows; ++r) {
           std::vector<Value> cells;
           std::vector<std::pair<std::string, Value>> fields;
           for (const AttrSpec& attr : iface.attrs) {
-            Value cell =
-                random_cell(rng, attr.kind, attr.name == "k" ? 0 : 12);
+            Value cell = random_cell(rng, attr.kind, null_pct(attr));
             cells.push_back(cell);
             fields.emplace_back(attr.name, std::move(cell));
           }
@@ -173,20 +81,7 @@ struct TwinWorld {
       }
     }
 
-    std::string odl;
-    for (const IfaceSpec& iface : ifaces) {
-      odl += "interface " + iface.name + " (extent " + iface.collective +
-             ") {";
-      for (const AttrSpec& attr : iface.attrs) {
-        odl += " attribute " + std::string(odl_type(attr.kind)) + " " +
-               attr.name + ";";
-      }
-      odl += " };\n";
-      for (const std::string& member : iface.members) {
-        odl += "extent " + member + " of " + iface.name +
-               " wrapper w0 repository r0;\n";
-      }
-    }
+    const std::string odl = odl_for(ifaces, {"r0"});
 
     Mediator::Options options;
     options.network_seed = seed;
@@ -217,96 +112,16 @@ struct TwinWorld {
   std::unique_ptr<Mediator> doc;
 };
 
-struct Outcome {
-  bool threw = false;
-  bool complete = false;
-  std::vector<std::string> rows;
-  std::vector<std::string> residuals;
-  std::string to_oql;
-};
-
-Outcome run(Mediator& mediator, const std::string& query) {
-  Outcome outcome;
-  try {
-    Answer answer = mediator.query(query);
-    outcome.complete = answer.complete();
-    for (const Value& item : answer.data().items()) {
-      outcome.rows.push_back(item.to_oql());
-    }
-    std::sort(outcome.rows.begin(), outcome.rows.end());
-    outcome.residuals = answer.residual_queries();
-    std::sort(outcome.residuals.begin(), outcome.residuals.end());
-    outcome.to_oql = answer.to_oql();
-  } catch (const DiscoError&) {
-    outcome.threw = true;
-  }
-  return outcome;
-}
-
 std::pair<Outcome, Outcome> expect_equivalent(TwinWorld& world,
                                               const std::string& query,
                                               size_t* compared) {
-  Outcome r = run(*world.rel, query);
-  Outcome d = run(*world.doc, query);
-  EXPECT_EQ(r.threw, d.threw) << query;
-  if (!r.threw && !d.threw) {
-    EXPECT_EQ(r.complete, d.complete) << query;
-    EXPECT_EQ(r.rows, d.rows) << query;
-    EXPECT_EQ(r.residuals, d.residuals) << query;
-  }
-  ++*compared;
-  return {std::move(r), std::move(d)};
+  return differential::expect_equivalent(*world.rel, *world.doc, query,
+                                         compared);
 }
 
 std::string random_query(std::mt19937& rng, const TwinWorld& world,
                          int shape) {
-  const IfaceSpec& iface = world.ifaces[rng() % world.ifaces.size()];
-  auto extent = [&](const IfaceSpec& i) -> std::string {
-    if (rng() % 2 == 0) return i.collective;
-    return i.members[rng() % i.members.size()];
-  };
-  const AttrSpec& attr = iface.attrs[rng() % iface.attrs.size()];
-  const AttrSpec& attr2 = iface.attrs[rng() % iface.attrs.size()];
-  switch (shape % 8) {
-    case 0:
-      return "select x from x in " + extent(iface);
-    case 1:
-      return "select x." + attr.name + " from x in " + extent(iface);
-    case 2:
-      return "select distinct x." + attr.name + " from x in " +
-             extent(iface);
-    case 3:
-      // Equality is total (nil included) and pushes down on both sides
-      // (EQPREDICATE for MiniSQL, subsumed by PATHEQPREDICATE for the
-      // doc wrapper — k equalities hit the DocPath index).
-      return "select x from x in " + extent(iface) + " where x." +
-             attr.name + " = " + random_literal(rng, attr.kind);
-    case 4:
-      // Ordering over the never-nil key: pushes to MiniSQL, stays a
-      // mediator-side filter for the doc wrapper (outside its grammar).
-      return "select struct(p: x." + attr.name + ", q: x." + attr2.name +
-             ") from x in " + extent(iface) + " where x.k >= " +
-             std::to_string(rng() % 8);
-    case 5: {
-      const IfaceSpec& other = world.ifaces[rng() % world.ifaces.size()];
-      const AttrSpec& rattr = other.attrs[rng() % other.attrs.size()];
-      return "select struct(l: x." + attr.name + ", r: y." + rattr.name +
-             ") from x in " + extent(iface) + ", y in " + extent(other) +
-             " where x.k = y.k";
-    }
-    case 6: {
-      const IfaceSpec& other = world.ifaces[rng() % world.ifaces.size()];
-      return "select struct(l: x.k, r: y.k) from x in " + extent(iface) +
-             ", y in " + extent(other) + " where x.k = y.k and x.k > " +
-             std::to_string(rng() % 6);
-    }
-    default: {
-      static const char* fns[] = {"count", "sum", "min", "max", "avg"};
-      const char* fn = fns[rng() % 5];
-      return std::string(fn) + "(select x.k from x in " + extent(iface) +
-             " where x.k != " + std::to_string(rng() % 8) + ")";
-    }
-  }
+  return differential::random_query(rng, world.ifaces, shape);
 }
 
 TEST(DocDifferential, HundredsOfRandomQueriesAgree) {

@@ -295,6 +295,73 @@ TEST(MediatorTest, ErrorsSurfaceCleanly) {
                CatalogError);
 }
 
+// Where a predicate runs must not change the outcome: pushed into
+// MiniSQL, filtered mediator-side, or filtered by the vec kernels, each
+// row's query gives the same answer or raises the same error text. The
+// join row is pushed whole into MiniSQL when pushdown is on; its only
+// nil salary sits in pairs whose ids differ, which the mediator's hash
+// join never checks against the ordering conjunct.
+TEST(MediatorTest, PushdownOnOffAndVecAgreeOnOutcomes) {
+  struct Row {
+    const char* query;
+    bool nil_salary;  ///< add a person0 row whose salary is nil
+    const char* outcome;
+  };
+  const Row rows[] = {
+      {"select x.name from x in person where x.salary > 60", false,
+       "bag(\"Mary\")"},
+      {"select x.name from x in person where x.salary = nil", true,
+       "bag(\"Nil\")"},
+      {"select x.name from x in person where x.salary < \"abc\"", false,
+       "execution error: cannot order int against string"},
+      {"select x.name from x in person where x.salary < 100", true,
+       "execution error: cannot order null against int"},
+      {"select x.name from x in person0, y in staff0 "
+       "where x.salary < y.salary and x.id = y.id",
+       true, "bag(\"Mary\")"},
+  };
+  Mediator::Options pushdown_off;
+  pushdown_off.optimizer.enable_select_pushdown = false;
+  pushdown_off.optimizer.enable_join_merge = false;
+  Mediator::Options vec = pushdown_off;
+  vec.vec.enabled = true;
+  for (const Row& row : rows) {
+    for (const Mediator::Options& options :
+         {Mediator::Options{}, pushdown_off, vec}) {
+      PaperWorld world(options);
+      auto& staff = world.db0.create_table(
+          "staff0", {{"id", memdb::ColumnType::Int},
+                     {"name", memdb::ColumnType::Text},
+                     {"salary", memdb::ColumnType::Int}});
+      staff.insert({Value::integer(1), Value::string("Ann"),
+                    Value::integer(300)});
+      staff.insert({Value::integer(2), Value::string("Bob"),
+                    Value::integer(100)});
+      world.mediator.execute_odl(R"(
+        interface Staff (extent staff) {
+          attribute Long id;
+          attribute String name;
+          attribute Short salary; };
+        extent staff0 of Staff wrapper w0 repository r0;
+      )");
+      if (row.nil_salary) {
+        world.db0.table("person0").insert(
+            {Value::integer(3), Value::string("Nil"), Value::null()});
+      }
+      std::string outcome;
+      try {
+        outcome = world.mediator.query(row.query).data().to_oql();
+      } catch (const ExecutionError& e) {
+        outcome = e.what();
+      }
+      EXPECT_EQ(outcome, row.outcome)
+          << row.query << " (pushdown "
+          << options.optimizer.enable_select_pushdown << ", vec "
+          << options.vec.enabled << ")";
+    }
+  }
+}
+
 TEST(MediatorTest, DuplicateWrapperRejected) {
   PaperWorld world;
   EXPECT_THROW(world.mediator.register_wrapper(

@@ -498,16 +498,20 @@ TEST(MiniSqlParse, CreateIndexStatement) {
 class IndexedEngineTest : public ::testing::Test {
  protected:
   IndexedEngineTest() : engine_(&db_) {
+    // x holds nils, y is the same number line without them.
     Table& t = db_.create_table("t", {{"k", ColumnType::Int},
                                       {"x", ColumnType::Real},
-                                      {"s", ColumnType::Text}});
+                                      {"s", ColumnType::Text},
+                                      {"y", ColumnType::Real}});
     for (int64_t i = 0; i < 100; ++i) {
       t.insert({Value::integer(i % 50),  // duplicate keys
                 i % 10 == 0 ? Value::null() : Value::real(i / 2.0),
-                Value::string("s" + std::to_string(i % 7))});
+                Value::string("s" + std::to_string(i % 7)),
+                Value::real(i / 2.0)});
     }
     engine_.execute_sql("CREATE INDEX t_k ON t (k)");
     engine_.execute_sql("CREATE INDEX t_x ON t (x)");
+    engine_.execute_sql("CREATE INDEX t_y ON t (y)");
   }
   ResultSet run(const std::string& sql) { return engine_.execute_sql(sql); }
   Database db_{"db"};
@@ -591,7 +595,7 @@ TEST_F(IndexedEngineTest, ForcedScanAnswersIdentically) {
       "SELECT * FROM t WHERE k = 7",
       "SELECT * FROM t WHERE k = 1 OR k = 3 OR k = 5",
       "SELECT s FROM t WHERE k >= 40 AND k <= 45 AND s <> \"s1\"",
-      "SELECT * FROM t WHERE x > 10.5 AND x <= 30",
+      "SELECT * FROM t WHERE y > 10.5 AND y <= 30",
   };
   for (const char* sql : queries) {
     ResultSet indexed = run(sql);
@@ -606,6 +610,37 @@ TEST_F(IndexedEngineTest, ForcedScanAnswersIdentically) {
           << sql;  // same rows in the same (row-id) order
     }
   }
+}
+
+// Ordering a nil raises (value/rules.hpp). An index skips rows, so it
+// serves only a leading conjunct that cannot raise; otherwise the clause
+// scans in row order and raises at the first row the mediator would.
+TEST_F(IndexedEngineTest, ClauseThatMayRaiseScansInRowOrder) {
+  for (const char* sql : {"SELECT * FROM t WHERE x > 10.5",
+                          "SELECT * FROM t WHERE k < \"s\""}) {
+    EXPECT_THROW(run(sql), ExecutionError) << sql;
+    EXPECT_EQ(engine_.last_stats().index_probes, 0u) << sql;
+    EXPECT_EQ(engine_.last_stats().rows_scanned, 1u) << sql;  // row 0
+  }
+  try {
+    run("SELECT * FROM t WHERE x > 10.5");
+  } catch (const ExecutionError& e) {
+    EXPECT_STREQ(e.what(),
+                 "execution error: cannot order null against double");
+  }
+  // k = 7 cannot raise and is checked first, so a row it rejects never
+  // reaches x < 3: probing k is exact.
+  EXPECT_TRUE(run("SELECT * FROM t WHERE k = 7 AND x < 3").rows.empty());
+  EXPECT_EQ(engine_.last_stats().index_probes, 1u);
+  EXPECT_EQ(engine_.last_stats().rows_scanned, 2u);
+  // With the clause that may raise first, k cannot be probed: row 0
+  // raises although k = -1 matches no row.
+  EXPECT_THROW(run("SELECT * FROM t WHERE x < 100 AND k = -1"),
+               ExecutionError);
+  EXPECT_EQ(engine_.last_stats().index_probes, 0u);
+  EXPECT_EQ(engine_.last_stats().rows_scanned, 1u);
+  run("SELECT * FROM t WHERE x = 10.5");
+  EXPECT_EQ(engine_.last_stats().index_probes, 1u);
 }
 
 TEST_F(IndexedEngineTest, CreateIndexNeedsReadWriteEngine) {
@@ -639,9 +674,10 @@ TEST_F(IndexedEngineTest, RowsReturnedCountsProjectedResult) {
   EXPECT_EQ(s.rows_returned, 2u);
 }
 
-// Property: indexed and forced-scan execution are answer-equal (as bags,
-// nulls and mixed Int/Double keys included) across generated predicates,
-// and stay equal after insert/delete/update churn re-keys the indexes.
+// Property: indexed and forced-scan execution have equal outcomes — the
+// same bag (nulls and mixed Int/Double keys included) or the same error
+// (ordering a nil raises) — across generated predicates, and stay equal
+// after insert/delete/update churn re-keys the indexes.
 TEST(IndexedScanPropertyTest, IndexedEqualsScanUnderChurn) {
   SplitMix64 rng(20260808);
   Database db("prop");
@@ -729,14 +765,23 @@ TEST(IndexedScanPropertyTest, IndexedEqualsScanUnderChurn) {
     return Value::bag(std::move(items));
   };
 
+  // The outcome of one execution: the answer bag's text, or the error.
+  auto outcome = [&](Engine& engine, const std::string& sql) {
+    try {
+      return to_bag(engine.execute_sql(sql)).to_oql();
+    } catch (const ExecutionError& e) {
+      return std::string(e.what());
+    }
+  };
+
   Engine engine(&db);
   for (int round = 0; round < 120; ++round) {
     std::string sql = "SELECT * FROM t WHERE " + random_predicate();
     engine.set_use_indexes(true);
-    ResultSet indexed = engine.execute_sql(sql);
+    const std::string indexed = outcome(engine, sql);
     engine.set_use_indexes(false);
-    ResultSet scanned = engine.execute_sql(sql);
-    ASSERT_EQ(to_bag(indexed), to_bag(scanned)) << sql;
+    const std::string scanned = outcome(engine, sql);
+    ASSERT_EQ(indexed, scanned) << sql;
 
     // Churn between rounds: inserts, swap-pop deletes, in-place updates.
     switch (rng.next_in(0, 3)) {

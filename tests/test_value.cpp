@@ -270,7 +270,7 @@ TEST(ValueDeepSize, SharedPayloadsCountAtEveryReference) {
 
 TEST(ValueNaN, TotalOrderPlacesNaNAfterEveryNumber) {
   // compare() is a total order even over NaN: NaN == NaN and NaN sorts
-  // after every number, including +inf (value.cpp compare_doubles).
+  // after every number, including +inf (value/rules.hpp compare_numbers).
   const Value nan = Value::real(std::nan(""));
   const Value inf = Value::real(std::numeric_limits<double>::infinity());
   EXPECT_EQ(Value::compare(nan, nan), 0);

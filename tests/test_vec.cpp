@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <string>
@@ -431,6 +432,28 @@ TEST(VecPredicate, NullCellsAgreeWithTheEvaluatorOnEquality) {
   }
 }
 
+TEST(VecPredicate, NaNCellsFollowTheNumericOrder) {
+  // The typed loops use the one numeric compare: NaN == NaN and NaN
+  // sorts after every number, so NaN = 5 is false and NaN > 5 is true.
+  std::vector<Value> rows;
+  for (double d : {std::nan(""), 5.0, 1.0}) {
+    rows.push_back(
+        Value::strct({{"x", Value::strct({{"a", Value::real(d)}})}}));
+  }
+  std::optional<Table> table = vec::from_rows(rows, 4);
+  ASSERT_TRUE(table.has_value());
+  for (const std::string text : {"x.a = 5", "x.a != 5", "x.a > 5",
+                                 "x.a <= 5", "x.a >= 1.0"}) {
+    const oql::ExprPtr expr = oql::parse(text);
+    std::optional<vec::PredicateProgram> program =
+        vec::compile_predicate(expr, table->schema);
+    ASSERT_TRUE(program.has_value()) << text;
+    EXPECT_EQ(sorted_oql(vec::to_rows(vec::filter_table(*table, *program))),
+              sorted_oql(row_filter(rows, expr)))
+        << text;
+  }
+}
+
 TEST(VecPredicate, ShortCircuitShieldsTheRightOperand) {
   // x.a < x.b orders Int against String and must throw — but only for
   // rows that reach it. With every row passing the or's left side, the
@@ -782,10 +805,26 @@ TEST(VecAggregate, EdgeSemanticsMirrorTheEvaluator) {
   EXPECT_EQ(vec::aggregate_table(empty, "count"), Value::integer(0));
   EXPECT_EQ(vec::aggregate_table(empty, "sum"), Value::integer(0));
   EXPECT_EQ(vec::aggregate_table(empty, "avg"), Value::real(0.0));
-  // Empty min/max decline: the evaluator's own "min of an empty
-  // collection" error must surface, not a vec-made value.
-  EXPECT_FALSE(vec::aggregate_table(empty, "min").has_value());
-  EXPECT_FALSE(vec::aggregate_table(empty, "max").has_value());
+  // Empty min/max raise the aggregate rule's error, the evaluator's
+  // text exactly.
+  oql::Evaluator evaluator;
+  oql::Env scope;
+  scope.bind("xs", Value::bag({}));
+  for (const std::string fn : {"min", "max"}) {
+    std::string row_error, vec_error;
+    try {
+      evaluator.eval(oql::parse(fn + "(xs)"), scope);
+    } catch (const ExecutionError& e) {
+      row_error = e.what();
+    }
+    try {
+      vec::aggregate_table(empty, fn);
+    } catch (const ExecutionError& e) {
+      vec_error = e.what();
+    }
+    EXPECT_FALSE(row_error.empty()) << fn;
+    EXPECT_EQ(vec_error, row_error) << fn;
+  }
   // Unknown function declines.
   EXPECT_FALSE(vec::aggregate_table(empty, "median").has_value());
 
@@ -818,29 +857,7 @@ TEST(VecAggregate, EdgeSemanticsMirrorTheEvaluator) {
   EXPECT_EQ(avg, Value::real(2.5));
 }
 
-// -- static eligibility ------------------------------------------------------
-
-TEST(VecStatic, BatchableWalksTheLogicalShapes) {
-  using algebra::get;
-  const oql::ExprPtr pred = oql::parse("x.salary > 10");
-  EXPECT_TRUE(vec::vec_batchable(get("person0", "x")));
-  EXPECT_TRUE(vec::vec_batchable(algebra::filter(get("person0", "x"), pred)));
-  EXPECT_TRUE(vec::vec_batchable(
-      algebra::submit("r0", algebra::filter(get("person0", "x"), pred))));
-  EXPECT_TRUE(vec::vec_batchable(
-      algebra::join(get("person0", "x"), get("person1", "y"), pred)));
-  EXPECT_TRUE(vec::vec_batchable(algebra::union_of(
-      {get("person0", "x"), get("person1", "x")})));
-  // Projections compute values; constants are data-dependent.
-  EXPECT_FALSE(vec::vec_batchable(
-      algebra::project(get("person0", "x"), oql::parse("x.name"), false)));
-  EXPECT_FALSE(vec::vec_batchable(algebra::constant(Value::bag({}))));
-  // One bad side poisons joins and unions.
-  EXPECT_FALSE(vec::vec_batchable(algebra::join(
-      get("person0", "x"), algebra::constant(Value::bag({})), pred)));
-  EXPECT_FALSE(vec::vec_batchable(algebra::union_of(
-      {get("person0", "x"), algebra::constant(Value::bag({}))})));
-}
+// -- static shape ------------------------------------------------------------
 
 TEST(VecStatic, StaticSchemaMirrorsTheCatalogInterfaces) {
   testing::PaperWorld world;

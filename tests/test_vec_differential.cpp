@@ -29,95 +29,18 @@
 // `ctest -L vec` and `ctest -L concurrency`).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/disco.hpp"
+#include "differential.hpp"
 
 namespace disco {
 namespace {
 
-enum class AttrKind { Long, Dbl, Str, Boolean };
-
-struct AttrSpec {
-  std::string name;
-  AttrKind kind;
-};
-
-struct MemberSpec {
-  std::string name;  ///< extent name == memdb table name
-  size_t repo;
-};
-
-struct IfaceSpec {
-  std::string name;
-  std::string collective;
-  std::vector<AttrSpec> attrs;
-  std::vector<MemberSpec> members;
-};
-
-const char* odl_type(AttrKind kind) {
-  switch (kind) {
-    case AttrKind::Long:
-      return "Long";
-    case AttrKind::Dbl:
-      return "Double";
-    case AttrKind::Str:
-      return "String";
-    case AttrKind::Boolean:
-      return "Boolean";
-  }
-  return "Long";
-}
-
-memdb::ColumnType memdb_type(AttrKind kind) {
-  switch (kind) {
-    case AttrKind::Long:
-      return memdb::ColumnType::Int;
-    case AttrKind::Dbl:
-      return memdb::ColumnType::Real;
-    case AttrKind::Str:
-      return memdb::ColumnType::Text;
-    case AttrKind::Boolean:
-      return memdb::ColumnType::Bool;
-  }
-  return memdb::ColumnType::Int;
-}
-
-/// Small domains on purpose: joins must hit, distinct must dedup.
-Value random_cell(std::mt19937& rng, AttrKind kind, int null_pct) {
-  if (static_cast<int>(rng() % 100) < null_pct) return Value::null();
-  switch (kind) {
-    case AttrKind::Long:
-      return Value::integer(static_cast<int64_t>(rng() % 8));
-    case AttrKind::Dbl:
-      return Value::real(static_cast<double>(rng() % 16) / 2.0);
-    case AttrKind::Str:
-      return Value::string("s" + std::to_string(rng() % 5));
-    case AttrKind::Boolean:
-      return Value::boolean(rng() % 2 == 0);
-  }
-  return Value::null();
-}
-
-/// A literal that can appear to the right of a comparison with `kind`.
-std::string random_literal(std::mt19937& rng, AttrKind kind) {
-  switch (kind) {
-    case AttrKind::Long:
-      return std::to_string(rng() % 8);
-    case AttrKind::Dbl:
-      return std::to_string(rng() % 8) + ".5";
-    case AttrKind::Str:
-      return "\"s" + std::to_string(rng() % 5) + "\"";
-    case AttrKind::Boolean:
-      return rng() % 2 == 0 ? "true" : "false";
-  }
-  return "0";
-}
+using namespace differential;
 
 /// One random federation, instantiated twice over the SAME databases:
 /// `row` (vec off) and `vectorized` (vec on, batch_rows 3).
@@ -130,24 +53,7 @@ struct TwinWorld {
       dbs.push_back(std::make_unique<memdb::Database>("db" + std::to_string(r)));
     }
 
-    const size_t num_ifaces = 1 + rng() % 2;
-    for (size_t i = 0; i < num_ifaces; ++i) {
-      IfaceSpec iface;
-      iface.name = "I" + std::to_string(i);
-      iface.collective = "c" + std::to_string(i);
-      iface.attrs.push_back({"k", AttrKind::Long});
-      const size_t extra = 1 + rng() % 3;
-      for (size_t a = 0; a < extra; ++a) {
-        const AttrKind kind = static_cast<AttrKind>(rng() % 4);
-        iface.attrs.push_back({"a" + std::to_string(a), kind});
-      }
-      const size_t members = 1 + rng() % 3;
-      for (size_t m = 0; m < members; ++m) {
-        iface.members.push_back(
-            {iface.collective + "_" + std::to_string(m), rng() % num_repos});
-      }
-      ifaces.push_back(std::move(iface));
-    }
+    ifaces = random_ifaces(rng, num_repos);
 
     // Populate the shared databases.
     for (const IfaceSpec& iface : ifaces) {
@@ -161,31 +67,14 @@ struct TwinWorld {
         for (size_t r = 0; r < rows; ++r) {
           std::vector<Value> cells;
           for (const AttrSpec& attr : iface.attrs) {
-            // Keys carry fewer nils than payload attributes, so most
-            // ordering predicates complete; the ones that do throw must
-            // throw on both paths, which the harness asserts.
-            cells.push_back(
-                random_cell(rng, attr.kind, attr.name == "k" ? 5 : 12));
+            cells.push_back(random_cell(rng, attr.kind, null_pct(attr)));
           }
           table.insert(std::move(cells));
         }
       }
     }
 
-    std::string odl;
-    for (const IfaceSpec& iface : ifaces) {
-      odl += "interface " + iface.name + " (extent " + iface.collective +
-             ") {";
-      for (const AttrSpec& attr : iface.attrs) {
-        odl += " attribute " + std::string(odl_type(attr.kind)) + " " +
-               attr.name + ";";
-      }
-      odl += " };\n";
-      for (const MemberSpec& member : iface.members) {
-        odl += "extent " + member.name + " of " + iface.name +
-               " wrapper w0 repository " + repos[member.repo] + ";\n";
-      }
-    }
+    const std::string odl = odl_for(ifaces, repos);
 
     Mediator::Options base;
     base.network_seed = seed;
@@ -221,104 +110,16 @@ struct TwinWorld {
   std::unique_ptr<Mediator> vectorized;
 };
 
-struct Outcome {
-  bool threw = false;
-  bool complete = false;
-  std::vector<std::string> rows;
-  std::vector<std::string> residuals;
-  std::string to_oql;
-  size_t vec_batches = 0;
-};
-
-Outcome run(Mediator& mediator, const std::string& query) {
-  Outcome outcome;
-  try {
-    Answer answer = mediator.query(query);
-    outcome.complete = answer.complete();
-    for (const Value& item : answer.data().items()) {
-      outcome.rows.push_back(item.to_oql());
-    }
-    std::sort(outcome.rows.begin(), outcome.rows.end());
-    outcome.residuals = answer.residual_queries();
-    std::sort(outcome.residuals.begin(), outcome.residuals.end());
-    outcome.to_oql = answer.to_oql();
-    outcome.vec_batches = answer.stats().run.vec_batches;
-  } catch (const DiscoError&) {
-    outcome.threw = true;
-  }
-  return outcome;
-}
-
-/// The assertion at the heart of the harness. Returns the twin outcomes
-/// so callers can chain (resubmission).
 std::pair<Outcome, Outcome> expect_equivalent(TwinWorld& world,
                                               const std::string& query,
                                               size_t* compared) {
-  Outcome r = run(*world.row, query);
-  Outcome v = run(*world.vectorized, query);
-  EXPECT_EQ(r.threw, v.threw) << query;
-  if (!r.threw && !v.threw) {
-    EXPECT_EQ(r.complete, v.complete) << query;
-    EXPECT_EQ(r.rows, v.rows) << query;
-    EXPECT_EQ(r.residuals, v.residuals) << query;
-    // The reference mediator must never touch the vec path.
-    EXPECT_EQ(r.vec_batches, 0u) << query;
-  }
-  ++*compared;
-  return {std::move(r), std::move(v)};
+  return differential::expect_equivalent(*world.row, *world.vectorized,
+                                         query, compared);
 }
 
-/// Random query over the world's schema. `shape` cycles so every world
-/// covers the whole operator mix.
 std::string random_query(std::mt19937& rng, const TwinWorld& world,
                          int shape) {
-  const IfaceSpec& iface = world.ifaces[rng() % world.ifaces.size()];
-  // The collective extent unions every member; naming one member skips
-  // the union.
-  auto extent = [&](const IfaceSpec& i) -> std::string {
-    if (rng() % 2 == 0) return i.collective;
-    return i.members[rng() % i.members.size()].name;
-  };
-  const AttrSpec& attr = iface.attrs[rng() % iface.attrs.size()];
-  const AttrSpec& attr2 = iface.attrs[rng() % iface.attrs.size()];
-  switch (shape % 8) {
-    case 0:
-      return "select x from x in " + extent(iface);
-    case 1:
-      return "select x." + attr.name + " from x in " + extent(iface);
-    case 2:
-      return "select distinct x." + attr.name + " from x in " +
-             extent(iface);
-    case 3:
-      // Equality is total (nil included): never throws.
-      return "select x from x in " + extent(iface) + " where x." +
-             attr.name + " = " + random_literal(rng, attr.kind);
-    case 4:
-      // Ordering over the mostly-non-nil key; a nil key throws on both
-      // paths, which expect_equivalent tolerates (both-throw).
-      return "select struct(p: x." + attr.name + ", q: x." + attr2.name +
-             ") from x in " + extent(iface) + " where x.k >= " +
-             std::to_string(rng() % 8);
-    case 5: {
-      const IfaceSpec& other = world.ifaces[rng() % world.ifaces.size()];
-      const AttrSpec& rattr = other.attrs[rng() % other.attrs.size()];
-      return "select struct(l: x." + attr.name + ", r: y." + rattr.name +
-             ") from x in " + extent(iface) + ", y in " + extent(other) +
-             " where x.k = y.k";
-    }
-    case 6: {
-      const IfaceSpec& other = world.ifaces[rng() % world.ifaces.size()];
-      return "select struct(l: x.k, r: y.k) from x in " + extent(iface) +
-             ", y in " + extent(other) + " where x.k = y.k and x.k > " +
-             std::to_string(rng() % 6);
-    }
-    default: {
-      static const char* fns[] = {"count", "sum", "min", "max", "avg"};
-      const char* fn = fns[rng() % 5];
-      return std::string(fn) + "(select x.k from x in " + extent(iface) +
-             " where x.k != " + std::to_string(rng() % 8) + ")";
-    }
-  }
+  return differential::random_query(rng, world.ifaces, shape);
 }
 
 TEST(VecDifferential, HundredsOfRandomQueriesAgree) {
