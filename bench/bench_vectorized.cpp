@@ -229,7 +229,8 @@ int main(int argc, char** argv) {
     const double row_s = row_watch.seconds();
 
     Stopwatch vec_watch;
-    std::optional<Value> vec_sum = vec::aggregate_table(*column, "sum");
+    std::optional<Value> vec_sum =
+        vec::aggregate_table(*column, Aggregate::Sum);
     const double vec_s = vec_watch.seconds();
     if (!vec_sum.has_value() || *vec_sum != row_sum) {
       std::printf("aggregate mismatch?!\n");

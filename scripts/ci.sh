@@ -60,9 +60,11 @@ if [[ "${DISCO_ASAN:-0}" != "0" ]]; then
   echo "== ASan+UBSan pass (obs label + value-rule suites) =="
   cmake -B "$repo/build-asan" -S "$repo" -DDISCO_SANITIZE=address+undefined
   # The value rules (src/value/rules.*) and every engine that calls them:
-  # the row evaluator, vec kernels, memdb and the doc differential.
+  # the row evaluator, vec kernels, memdb and the doc differential; plus
+  # the row-vs-vec differential and the mediator suite, since columnar
+  # execution is the default path of every mediator test.
   value_suites=(test_value test_vec test_memdb test_differential
-                test_doc_differential)
+                test_doc_differential test_vec_differential test_mediator)
   cmake --build "$repo/build-asan" -j "$(nproc)" --target test_obs \
     "${value_suites[@]}"
   ctest --test-dir "$repo/build-asan" -L obs --output-on-failure

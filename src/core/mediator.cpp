@@ -525,36 +525,6 @@ size_t Mediator::live_handles() const {
   return handles_.size();
 }
 
-namespace {
-
-/// Local-mode vec fast path: `agg(name)` over a resolver collection,
-/// computed batch-wise when the collection converts to columns and the
-/// kernel covers the case. nullopt hands the expression back to the
-/// evaluator; both apply the one aggregate rule (value/rules.hpp).
-std::optional<Value> vec_local_aggregate(
-    const oql::ExprPtr& expr, const oql::CollectionResolver& resolver,
-    const vec::VecOptions& vec_options, obs::Registry* metrics) {
-  if (expr == nullptr || expr->kind != oql::ExprKind::Call) {
-    return std::nullopt;
-  }
-  if (!aggregate_named(expr->name).has_value()) return std::nullopt;
-  if (expr->args.size() != 1 ||
-      expr->args[0]->kind != oql::ExprKind::Ident) {
-    return std::nullopt;
-  }
-  std::optional<Value> collection = resolver.resolve(expr->args[0]->name);
-  if (!collection.has_value()) return std::nullopt;
-  if (!collection->is_collection()) return std::nullopt;
-  std::optional<vec::Table> table =
-      vec::from_rows(collection->items(), vec_options.batch_rows);
-  if (!table.has_value()) return std::nullopt;
-  obs::ScopedRate rate(metrics, "vec.agg");
-  rate.add_rows(table->rows());
-  return vec::aggregate_table(*table, expr->name);
-}
-
-}  // namespace
-
 Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
                              const optimizer::Optimizer::Result& planned,
                              QueryOptions options, const QueryTrace& qt) {
@@ -604,17 +574,6 @@ Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
     // Local mode: the mediator evaluates the expression itself over the
     // materialized collections.
     obs::ScopedSpan local(qt.obs(), "local_eval", "mediator");
-    if (options_.vec.enabled) {
-      // Batch-wise aggregation: `agg(name)` over a materialized flat bag
-      // computes columnar; any shape/type the kernel cannot reproduce
-      // exactly falls through to the evaluator (same result or error).
-      std::optional<Value> agg =
-          vec_local_aggregate(planned.local, resolver, options_.vec,
-                              registry_);
-      if (agg.has_value()) {
-        return Answer::complete_answer(std::move(*agg), std::move(stats));
-      }
-    }
     Value data = oql::Evaluator(&resolver).eval(planned.local);
     return Answer::complete_answer(std::move(data), std::move(stats));
   }
@@ -625,12 +584,18 @@ Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
     physical::Runtime runtime(make_context(snap, &resolver,
                                            options.deadline_s,
                                            exec_span.context()));
-    run = runtime.run(planned.plan);
+    run = runtime.run(planned.plan, planned.aggregate);
   }
   stats.run += run.stats;
 
   if (run.complete()) {
     return Answer::complete_answer(std::move(run.data), std::move(stats));
+  }
+  if (planned.aggregate.has_value()) {
+    // An aggregate of part of its input is no answer: the whole query is
+    // the residual, exactly as for an unavailable auxiliary collection.
+    return Answer::partial_answer(Value::bag({}), {planned.expanded},
+                                  std::move(stats));
   }
   // §4: transform the unfinished physical parts back into OQL.
   obs::ScopedSpan residual_span(qt.obs(), "residuals", "mediator");
@@ -698,109 +663,112 @@ void collect_submits(const physical::PhysicalPtr& node,
   }
 }
 
+/// What the static vec walk knows of a subtree's output: the layout its
+/// rows have (when the catalog tells), and whether they come as batches
+/// or as rows a batch operator above would convert.
+struct VecWalk {
+  std::optional<vec::Schema> schema;
+  bool batched = false;
+};
+
 /// Static mirror of the runtime's per-operator vec decisions over the
-/// chosen plan: returns the schema the subtree produces batched, or
-/// nullopt when it will run on the row path, appending one "<op> -> vec"
-/// / "<op> -> row path" line per mediator-side operator. Exec leaves are
-/// batchable when their remote is env-shaped against the catalog's
-/// interfaces; actual rows can still fall back (always safe).
-std::optional<vec::Schema> vec_walk(const physical::PhysicalPtr& node,
-                                    const catalog::Catalog& catalog,
-                                    std::vector<std::string>* ops) {
+/// chosen plan, appending one "<op> -> vec" / "<op> -> row path" line
+/// per mediator-side operator. Leaves keep their rows, as in
+/// Runtime::eval; filter, project and hash join convert their input when
+/// its layout is known (an Exec leaf's remote is env-shaped against the
+/// catalog's interfaces) and their expressions compile. Actual rows can
+/// still fall back (always safe).
+VecWalk vec_walk(const physical::PhysicalPtr& node,
+                 const catalog::Catalog& catalog,
+                 std::vector<std::string>* ops) {
   switch (node->op) {
     case physical::POp::Exec:
-      return vec::static_schema(node->remote, catalog);
+      return {vec::static_schema(node->remote, catalog), false};
     case physical::POp::Const:
-      return std::nullopt;  // data-dependent; decided at run time
+      return {};  // data-dependent; decided at run time
     case physical::POp::Filter: {
-      std::optional<vec::Schema> in = vec_walk(node->child, catalog, ops);
-      if (in.has_value() &&
-          vec::compile_predicate(node->predicate, *in).has_value()) {
-        ops->push_back("filter -> vec");
-        return in;
-      }
-      ops->push_back("filter -> row path");
-      return std::nullopt;
+      VecWalk in = vec_walk(node->child, catalog, ops);
+      const bool batched =
+          in.schema.has_value() &&
+          vec::compile_predicate(node->predicate, *in.schema).has_value();
+      ops->push_back(batched ? "filter -> vec" : "filter -> row path");
+      return {std::move(in.schema), batched};
     }
     case physical::POp::Project: {
-      std::optional<vec::Schema> in = vec_walk(node->child, catalog, ops);
-      if (in.has_value()) {
+      VecWalk in = vec_walk(node->child, catalog, ops);
+      if (in.schema.has_value()) {
         std::optional<vec::ProjectionProgram> program =
-            vec::compile_projection(node->projection, *in);
+            vec::compile_projection(node->projection, *in.schema);
         if (program.has_value()) {
           ops->push_back("project -> vec");
-          return program->out_schema;
+          return {program->out_schema, true};
         }
       }
       ops->push_back("project -> row path");
-      return std::nullopt;
+      return {};
     }
     case physical::POp::HashJoin: {
-      std::optional<vec::Schema> left = vec_walk(node->left, catalog, ops);
-      std::optional<vec::Schema> right =
-          vec_walk(node->right, catalog, ops);
-      bool ok = left.has_value() && right.has_value();
-      std::optional<vec::Schema> merged;
-      if (ok) {
-        merged = *left;
-        merged->columns.insert(merged->columns.end(),
-                               right->columns.begin(),
-                               right->columns.end());
-        const auto key_col = [&](const oql::ExprPtr& key,
-                                 const vec::Schema& schema) {
-          return key->kind == oql::ExprKind::Path &&
-                 key->child->kind == oql::ExprKind::Ident &&
-                 schema.index_of(key->child->name, key->name) >= 0;
-        };
-        ok = key_col(node->left_key, *left) &&
-             key_col(node->right_key, *right) &&
-             (node->predicate == nullptr ||
-              vec::compile_predicate(node->predicate, *merged).has_value());
+      VecWalk left = vec_walk(node->left, catalog, ops);
+      VecWalk right = vec_walk(node->right, catalog, ops);
+      if (!left.schema.has_value() || !right.schema.has_value()) {
+        ops->push_back("hash join -> row path");
+        return {};
       }
-      if (ok) {
-        ops->push_back("hash join -> vec");
-        return merged;
-      }
-      ops->push_back("hash join -> row path");
-      return std::nullopt;
+      vec::Schema merged = *left.schema;
+      merged.columns.insert(merged.columns.end(),
+                            right.schema->columns.begin(),
+                            right.schema->columns.end());
+      const auto key_col = [&](const oql::ExprPtr& key,
+                               const vec::Schema& schema) {
+        return key->kind == oql::ExprKind::Path &&
+               key->child->kind == oql::ExprKind::Ident &&
+               schema.index_of(key->child->name, key->name) >= 0;
+      };
+      const bool batched =
+          key_col(node->left_key, *left.schema) &&
+          key_col(node->right_key, *right.schema) &&
+          (node->predicate == nullptr ||
+           vec::compile_predicate(node->predicate, merged).has_value());
+      ops->push_back(batched ? "hash join -> vec" : "hash join -> row path");
+      return {std::move(merged), batched};
     }
     case physical::POp::NestedLoopJoin: {
       vec_walk(node->left, catalog, ops);
       vec_walk(node->right, catalog, ops);
       ops->push_back("nested-loop join -> row path");
-      return std::nullopt;
+      return {};
     }
     case physical::POp::BindJoin: {
       vec_walk(node->left, catalog, ops);
       ops->push_back("bind join -> row path");
-      return std::nullopt;
+      return {};
     }
     case physical::POp::Union: {
-      std::optional<vec::Schema> merged;
-      bool ok = true;
+      // Batched parts of one layout splice; anything else concatenates
+      // rows, which keep a layout only if every part shares it.
+      VecWalk out;
       bool first = true;
+      bool batched = true;
+      bool same_layout = true;
       for (const physical::PhysicalPtr& child : node->children) {
-        std::optional<vec::Schema> part = vec_walk(child, catalog, ops);
-        if (!part.has_value()) {
-          ok = false;
-          continue;
-        }
+        VecWalk part = vec_walk(child, catalog, ops);
+        batched = batched && part.batched;
         if (first) {
-          merged = std::move(part);
+          out.schema = std::move(part.schema);
           first = false;
-        } else if (!merged.has_value() || !merged->same_layout(*part)) {
-          ok = false;
+        } else if (!out.schema.has_value() || !part.schema.has_value() ||
+                   !out.schema->same_layout(*part.schema)) {
+          same_layout = false;
         }
       }
-      if (ok && merged.has_value()) {
-        ops->push_back("union -> vec (batch splice)");
-        return merged;
-      }
-      ops->push_back("union -> row path");
-      return std::nullopt;
+      if (!same_layout) out.schema.reset();
+      out.batched = batched && out.schema.has_value();
+      ops->push_back(out.batched ? "union -> vec (batch splice)"
+                                 : "union -> row path");
+      return out;
     }
   }
-  return std::nullopt;
+  return {};
 }
 
 }  // namespace
@@ -830,14 +798,27 @@ Mediator::ExplainReport Mediator::explain_report(
     report.aux.emplace_back(name + "*", physical::to_physical_string(plan));
     collect_submits(plan, history_, result_cache_.get(), &report.submits);
   }
+  // A planned aggregate prints around its plan: count(mkunion(...)).
+  const std::string aggregate =
+      planned.aggregate.has_value() ? planned.expanded->name : "";
   if (planned.plan != nullptr) {
     report.plan = physical::to_physical_string(planned.plan);
+    if (!aggregate.empty()) report.plan = aggregate + "(" + report.plan + ")";
     collect_submits(planned.plan, history_, result_cache_.get(),
                     &report.submits);
   }
   report.vec = options_.vec.enabled;
   if (report.vec && planned.plan != nullptr) {
-    vec_walk(planned.plan, snap->catalog, &report.vec_ops);
+    const VecWalk out = vec_walk(planned.plan, snap->catalog, &report.vec_ops);
+    if (!aggregate.empty()) {
+      // The reduction takes the answer as it comes: batches only when
+      // the top operator produced them.
+      const bool batched =
+          out.batched && (planned.aggregate->fn == Aggregate::Count ||
+                          out.schema->shape == vec::RowShape::Scalar);
+      report.vec_ops.push_back(aggregate +
+                               (batched ? " -> vec" : " -> row path"));
+    }
   }
   return report;
 }
@@ -850,7 +831,6 @@ std::string Mediator::ExplainReport::to_string() const {
   }
   if (local_mode) {
     out += "mode: local evaluation\n";
-    if (vec) out += "vec: on (local aggregation when the bag is flat)\n";
     return out;
   }
   out += "plan: " + plan + "\n";

@@ -130,14 +130,14 @@ class Mediator {
     /// resubmission. Virtual-time mode (workers == 0) never needs it:
     /// calls there are sequential by construction.
     sched::SchedOptions sched;
-    /// Columnar batch execution (src/vec/). Off by default — the
-    /// row-at-a-time path is the reference semantics. With vec.enabled,
-    /// flat answer bags convert to typed column batches at the exec/const
-    /// leaves and filter/project/hash-join/union/aggregate run batch-wise
-    /// (per-operator row fallback otherwise), the optimizer implements
-    /// batchable equi joins as hash joins, and explain_report() lists
-    /// which operators will run vectorized. Answers are bag-equal either
-    /// way and virtual-time determinism is preserved
+    /// Columnar batch execution (src/vec/). On by default: flat answer
+    /// bags convert to typed column batches at the exec/const leaves and
+    /// filter/project/hash-join/union and a planned aggregate run
+    /// batch-wise, with a per-operator row fallback for every shape the
+    /// kernels cannot reproduce exactly. explain_report() lists which
+    /// operators will run vectorized. The row path (vec.enabled = false)
+    /// is the reference semantics: answers are bag-equal either way and
+    /// virtual-time determinism is preserved
     /// (tests/test_vec_differential.cpp).
     vec::VecOptions vec;
   };
@@ -254,7 +254,9 @@ class Mediator {
     std::string query;
     std::string expanded;  ///< view-expanded OQL
     bool local_mode = false;
-    std::string plan;  ///< physical plan text; empty in local mode
+    /// Physical plan text, wrapped in its aggregate for a planned
+    /// aggregate (count(mkunion(...))); empty in local mode.
+    std::string plan;
     optimizer::Cost estimated;
     size_t plans_considered = 0;
     /// Federation-scale pruning counters: how much of the registered
@@ -270,9 +272,10 @@ class Mediator {
     /// Batch execution (Options::vec) is on for this mediator.
     bool vec = false;
     /// One "<op> -> vec" or "<op> -> row path" line per mediator-side
-    /// operator ("filter -> vec", "bind join -> row path", ...), from a
-    /// static walk of the chosen plan against the catalog's interfaces.
-    /// Empty when vec is off or the query runs in local mode.
+    /// operator ("filter -> vec", "bind join -> row path", "count ->
+    /// vec", ...), from a static walk of the chosen plan against the
+    /// catalog's interfaces. Empty when vec is off or the query runs in
+    /// local mode.
     std::vector<std::string> vec_ops;
 
     std::string to_string() const;

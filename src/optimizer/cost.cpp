@@ -18,13 +18,18 @@ bool moved_materially(double before, double after, double threshold) {
 }  // namespace
 
 bool CostHistory::update(std::unordered_map<std::string, Entry>& map,
-                         const std::string& key, double time_s, double rows) {
+                         const std::string& key, double time_s, double rows,
+                         const Entry* prior) {
   Entry& entry = map[key];
   if (entry.count == 0) {
     entry.time_ewma = time_s;
     entry.rows_ewma = rows;
     ++entry.count;
-    return true;  // first observation for this key: new information
+    // First observation for this key: new information unless it matches
+    // the estimate the key was answered with until now.
+    return prior == nullptr ||
+           moved_materially(prior->time_ewma, time_s, kMaterialChange) ||
+           moved_materially(prior->rows_ewma, rows, kMaterialChange);
   }
   double time_before = entry.time_ewma;
   double rows_before = entry.rows_ewma;
@@ -40,17 +45,26 @@ void CostHistory::record(const std::string& repository,
                          size_t rows) {
   internal_check(remote != nullptr, "cannot record a null expression");
   Shard& shard = shard_for(repository);
+  const double n = static_cast<double>(rows);
   bool material;
   {
     std::unique_lock lock(shard.mutex);
-    material =
-        update(shard.exact,
-               repository + "|" + algebra::to_algebra_string(remote), time_s,
-               static_cast<double>(rows));
-    update(shard.close, repository + "|" + algebra::signature(remote),
-           time_s, static_cast<double>(rows));
-    update(shard.per_repository, repository, time_s,
-           static_cast<double>(rows));
+    const std::string close_key =
+        repository + "|" + algebra::signature(remote);
+    // estimate() answers a key without an exact entry from its close
+    // entry, else its repository's: read that before either moves.
+    const Entry* prior = nullptr;
+    if (auto it = shard.close.find(close_key); it != shard.close.end()) {
+      prior = &it->second;
+    } else if (auto repo = shard.per_repository.find(repository);
+               repo != shard.per_repository.end()) {
+      prior = &repo->second;
+    }
+    material = update(shard.exact,
+                      repository + "|" + algebra::to_algebra_string(remote),
+                      time_s, n, prior);
+    update(shard.close, close_key, time_s, n, nullptr);
+    update(shard.per_repository, repository, time_s, n, nullptr);
   }
   if (material) {
     version_.fetch_add(1, std::memory_order_release);

@@ -32,10 +32,13 @@
 // runs inside concurrent optimizations. State is sharded by repository
 // (every key is repository-prefixed, so one call touches one shard) under
 // per-shard shared_mutexes. version() is a monotonic counter bumped when
-// an observation *materially* changes the model — a new exact signature,
-// or an EWMA moving by more than 20% — which the mediator's plan cache
-// watches to re-optimize cached plans after cost observations (§3.3:
-// "modify or recompute plans that are affected").
+// an observation *materially* changes the exact model — an exact EWMA
+// moving by more than 20%, or a new exact signature whose first
+// observation is that far from the close or per-repository estimate it
+// was answered with before — which the mediator's plan cache watches to
+// re-optimize cached plans after cost observations (§3.3: "modify or
+// recompute plans that are affected"). A never-repeated query whose cost
+// matches its close estimate therefore leaves cached plans in place.
 #pragma once
 
 #include <array>
@@ -99,10 +102,13 @@ class CostHistory {
   Shard& shard_for(const std::string& repository) const {
     return shards_[std::hash<std::string>{}(repository) % kShards];
   }
-  /// Returns true when the update was material (new key, or an EWMA
-  /// moved by more than kMaterialChange relative).
+  /// Returns true when the update was material: an EWMA moved by more
+  /// than kMaterialChange relative, or a new key's first observation is
+  /// that far from `prior`, the entry estimate() answered the key from
+  /// before (null: none, so any first observation is material).
   bool update(std::unordered_map<std::string, Entry>& map,
-              const std::string& key, double time_s, double rows);
+              const std::string& key, double time_s, double rows,
+              const Entry* prior);
 
   static constexpr double kMaterialChange = 0.2;
 

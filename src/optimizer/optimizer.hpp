@@ -22,6 +22,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,10 +48,10 @@ struct OptimizerOptions {
   /// ship the build side's keys into the probe side's submit. Off by
   /// default: it is not in the paper's Prototype-0 plan space.
   bool enable_bind_join = false;
-  /// Columnar batch execution is on (Mediator::Options::vec). No plan
-  /// choice depends on it: every mediator equi join is a hash join, which
-  /// the vec runtime runs as its batch join when both inputs are
-  /// batchable and on the row path otherwise.
+  /// Mirrors Mediator::Options::vec.enabled. Nothing reads it: every
+  /// mediator equi join is a hash join, which the runtime runs as its
+  /// batch join when both inputs are batchable and on the row path
+  /// otherwise. It stays only because e2ebench still sets it.
   bool vec = false;
   /// When false, skip cost comparison and always prefer maximal pushdown
   /// (what the 0/1 default cost implies anyway). Used for ablation.
@@ -123,6 +124,9 @@ class Optimizer {
   struct Result {
     /// Plan-mode physical plan; null in local mode.
     physical::PhysicalPtr plan;
+    /// Plan mode: the aggregate the runtime reduces the plan's answer
+    /// with (count(select ...)); nullopt for a collection query.
+    std::optional<algebra::Reduction> aggregate;
     /// Materialization plans for auxiliary collections (nested-subquery
     /// extents), by name.
     std::vector<std::pair<std::string, physical::PhysicalPtr>> aux;

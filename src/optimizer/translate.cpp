@@ -166,7 +166,19 @@ class Translator {
     TranslationUnit out;
     prune_.extents_total = catalog_.extent_count();
     out.expanded = expand_views(query, catalog_);
-    if (LogicalPtr plan = try_plan(out.expanded)) {
+    LogicalPtr plan;
+    if (std::optional<Aggregate> fn = aggregate_of(out.expanded)) {
+      const oql::ExprPtr& collection = out.expanded->args.front();
+      plan = try_plan_collection(collection);
+      if (plan != nullptr) {
+        out.aggregate = algebra::Reduction{
+            *fn, collection->kind == oql::ExprKind::Select &&
+                     collection->distinct};
+      }
+    } else {
+      plan = try_plan(out.expanded);
+    }
+    if (plan != nullptr) {
       out.plan = std::move(plan);
     } else {
       out.local = out.expanded;
@@ -179,6 +191,27 @@ class Translator {
   }
 
  private:
+  /// The aggregate a one-argument count/sum/avg/min/max call applies.
+  static std::optional<Aggregate> aggregate_of(const oql::ExprPtr& expr) {
+    if (expr->kind != oql::ExprKind::Call || expr->args.size() != 1) {
+      return std::nullopt;
+    }
+    return aggregate_named(expr->name);
+  }
+
+  /// The collection an aggregate reduces. An extent-like name (`person`,
+  /// `person0`, `person*`) plans as `select x from x in <name>`, so it
+  /// gets the select's branch expansion and type pruning; anything else
+  /// plans as a query. Returns null when it needs local mode.
+  LogicalPtr try_plan_collection(const oql::ExprPtr& collection) {
+    if (collection->kind == oql::ExprKind::Ident ||
+        collection->kind == oql::ExprKind::ExtentClosure) {
+      return try_plan_select(oql::select(
+          false, oql::ident("x"), {oql::Binding{"x", collection}}, nullptr));
+    }
+    return try_plan(collection);
+  }
+
   /// Returns null when `expr` needs local mode.
   LogicalPtr try_plan(const oql::ExprPtr& expr) {
     if (expr->kind == oql::ExprKind::Select) {

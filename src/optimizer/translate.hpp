@@ -15,18 +15,22 @@
 //    constants) whose from-domains are extent-like: every combination of
 //    per-binding data sources becomes one branch
 //    Project(Filter(Join(...)))); partial evaluation then works at branch
-//    granularity (§4).
-//  * local mode — anything else (aggregates at top level, flatten over
-//    selects, domains that are path expressions, ...): the expression is
-//    evaluated by the mediator's evaluator after materializing every
-//    extent it references. Unavailability then makes the *whole* query
-//    the residual answer.
+//    granularity (§4). An aggregate (count/sum/avg/min/max) over such a
+//    collection, or over an extent name, plans its collection the same
+//    way and reduces the plan's answer; it has no partial form, so an
+//    incomplete run makes the whole query the residual.
+//  * local mode — anything else (flatten over selects, domains that are
+//    path expressions, ...): the expression is evaluated by the
+//    mediator's evaluator after materializing every extent it
+//    references. Unavailability then makes the *whole* query the
+//    residual answer.
 //
 // In both modes, extent references inside nested subqueries (the §2.2.3
 // reconciliation views) become *auxiliary collections*: named fetch plans
 // the runtime materializes before evaluating the main plan.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +65,9 @@ struct PruneStats {
 struct TranslationUnit {
   /// Plan mode: the logical plan (union of branches). Null in local mode.
   algebra::LogicalPtr plan;
+  /// Plan mode: the aggregate that reduces the plan's answer to the
+  /// query's value (count(select ...)); nullopt for a collection query.
+  std::optional<algebra::Reduction> aggregate;
   /// Local mode: the expression the mediator evaluates itself. Null in
   /// plan mode.
   oql::ExprPtr local;

@@ -16,6 +16,8 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "oql/ast.hpp"
 #include "value/value.hpp"
@@ -63,23 +65,35 @@ class MapResolver : public CollectionResolver {
 };
 
 /// Variable environment (from-clause bindings), chained for correlation.
+/// An env holds one to three variables, so a flat vector with a linear
+/// lookup replaces a hash map. Rebinding a name replaces it in place, and
+/// the innermost env that binds a name wins.
 class Env {
  public:
   Env() = default;
   explicit Env(const Env* parent) : parent_(parent) {}
 
   void bind(const std::string& name, Value value) {
-    vars_[name] = std::move(value);
+    for (auto& [bound, slot] : vars_) {
+      if (bound == name) {
+        slot = std::move(value);
+        return;
+      }
+    }
+    vars_.emplace_back(name, std::move(value));
   }
   const Value* find(const std::string& name) const {
-    auto it = vars_.find(name);
-    if (it != vars_.end()) return &it->second;
-    return parent_ != nullptr ? parent_->find(name) : nullptr;
+    for (const Env* env = this; env != nullptr; env = env->parent_) {
+      for (const auto& [bound, value] : env->vars_) {
+        if (bound == name) return &value;
+      }
+    }
+    return nullptr;
   }
 
  private:
   const Env* parent_ = nullptr;
-  std::unordered_map<std::string, Value> vars_;
+  std::vector<std::pair<std::string, Value>> vars_;
 };
 
 class Evaluator {

@@ -32,24 +32,41 @@ void Runtime::ensure_rows(Outcome* out) {
   }
 }
 
-Runtime::Outcome Runtime::make_leaf_outcome(const std::vector<Value>& rows) {
-  Outcome out;
-  if (context_.vec.enabled) {
-    std::optional<vec::Table> table =
-        vec::from_rows(rows, context_.vec.batch_rows);
-    if (table.has_value()) {
-      stats_.vec_batches += table->batches.size();
-      stats_.vec_rows += table->rows();
-      out.batch = std::move(table);
-      return out;
-    }
+void Runtime::ensure_batch(Outcome* out) {
+  if (out->batch.has_value() || !context_.vec.enabled) return;
+  std::optional<vec::Table> table =
+      vec::from_rows(out->data, context_.vec.batch_rows);
+  if (!table.has_value()) {
     ++stats_.vec_fallbacks;
+    return;
   }
-  out.data = rows;
-  return out;
+  stats_.vec_batches += table->batches.size();
+  stats_.vec_rows += table->rows();
+  out->batch = std::move(table);
+  out->data.clear();
 }
 
-RunResult Runtime::run(const PhysicalPtr& plan) {
+Value Runtime::aggregate_outcome(Outcome* out, algebra::Reduction reduce) {
+  if (out->batch.has_value()) {
+    obs::ScopedRate rate(context_.metrics, "vec.agg");
+    rate.add_rows(out->batch->rows());
+    stats_.vec_rows += out->batch->rows();
+    if (reduce.distinct) {
+      out->batch = vec::distinct_table(*out->batch, context_.vec.batch_rows);
+    }
+    if (std::optional<Value> value =
+            vec::aggregate_table(*out->batch, reduce.fn)) {
+      return *std::move(value);
+    }
+    ++stats_.vec_fallbacks;
+    ensure_rows(out);
+  }
+  if (reduce.distinct) out->data = Value::set(std::move(out->data)).items();
+  return aggregate(reduce.fn, out->data);
+}
+
+RunResult Runtime::run(const PhysicalPtr& plan,
+                       std::optional<algebra::Reduction> reduce) {
   internal_check(plan != nullptr, "cannot run a null plan");
   stats_ = RunStats{};
   denied_.clear();
@@ -89,9 +106,13 @@ RunResult Runtime::run(const PhysicalPtr& plan) {
   context_.clock->advance(elapsed);
   stats_.elapsed_s = elapsed;
 
-  ensure_rows(&outcome);
   RunResult result;
-  result.data = Value::bag(std::move(outcome.data));
+  if (reduce.has_value() && outcome.residuals.empty()) {
+    result.data = aggregate_outcome(&outcome, *reduce);
+  } else {
+    ensure_rows(&outcome);
+    result.data = Value::bag(std::move(outcome.data));
+  }
   result.residuals = std::move(outcome.residuals);
   result.stats = stats_;
   return result;
@@ -150,10 +171,14 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
   switch (node->op) {
     case POp::Exec:
       return eval_exec(*node);
-    case POp::Const:
-      return make_leaf_outcome(node->data.items());
+    case POp::Const: {
+      Outcome out;
+      out.data = node->data.items();
+      return out;
+    }
     case POp::Filter: {
       Outcome in = eval(node->child);
+      ensure_batch(&in);
       Outcome out;
       if (in.batch.has_value()) {
         std::optional<vec::PredicateProgram> program =
@@ -187,6 +212,7 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
     }
     case POp::Project: {
       Outcome in = eval(node->child);
+      ensure_batch(&in);
       Outcome out;
       if (in.batch.has_value()) {
         std::optional<vec::ProjectionProgram> program =
@@ -549,7 +575,11 @@ Runtime::Outcome Runtime::call_source(
       }
     }
   }
-  return make_leaf_outcome(result.data.items());
+  // The outcome owns the reply's rows; a shared reply (a cached one)
+  // is copied.
+  Outcome out;
+  out.data = std::move(result.data).take_items();
+  return out;
 }
 
 Runtime::Outcome Runtime::eval_exec(const Physical& node) {
@@ -590,6 +620,10 @@ Runtime::Outcome Runtime::eval_join(const Physical& node) {
     return out;
   }
 
+  if (node.op == POp::HashJoin) {
+    ensure_batch(&left);
+    ensure_batch(&right);
+  }
   if (node.op == POp::HashJoin && left.batch.has_value() &&
       right.batch.has_value() &&
       left.batch->schema.shape == vec::RowShape::Env &&

@@ -118,14 +118,15 @@ struct ExecContext {
   /// rows, outcome) and circuit refusals record "short_circuit" instants
   /// under it. Default-off: one pointer check per site.
   obs::ObsContext obs;
-  /// Columnar batch execution (src/vec/). Off by default: operators stay
-  /// row-at-a-time. When enabled, exec/const leaves convert flat answer
-  /// bags to column batches and filter/project/hash-join/union run
-  /// batch-wise, falling back per operator whenever the data or the
-  /// expression is outside the vectorizable subset. Purely an execution-
-  /// strategy switch — answers are bag-equal either way (enforced by
-  /// tests/test_vec_differential.cpp), and virtual-time accounting is
-  /// untouched.
+  /// Columnar batch execution (src/vec/), on by default. Filter, project
+  /// and hash join convert flat input rows to column batches and run
+  /// batch-wise, as do a union of their batches and a planned aggregate
+  /// of them, falling back per operator whenever the data or the
+  /// expression is outside the vectorizable subset. Leaves keep their
+  /// rows, so a fully pushed plan never converts. Purely an
+  /// execution-strategy switch: answers are bag-equal to the row path
+  /// (enforced by tests/test_vec_differential.cpp), and virtual-time
+  /// accounting is untouched.
   vec::VecOptions vec;
   /// Per-operator rows/sec counters ("vec.filter.rows", "vec.filter.ns",
   /// ...); null disables recording.
@@ -168,7 +169,8 @@ struct RunStats {
 };
 
 struct RunResult {
-  /// Data part of the answer (a bag).
+  /// Data part of the answer (a bag); the aggregate's value when run()
+  /// reduced a complete answer.
   Value data;
   /// Residual logical branches; empty means the answer is complete.
   std::vector<algebra::LogicalPtr> residuals;
@@ -182,7 +184,12 @@ class Runtime {
   explicit Runtime(ExecContext context);
 
   /// Executes the plan; advances the virtual clock by the elapsed time.
-  RunResult run(const PhysicalPtr& plan);
+  /// With `reduce`, a complete answer is reduced to that aggregate's
+  /// value: batch-wise when the answer is columnar, by the value rule
+  /// over rows otherwise (the rule's errors propagate). An incomplete
+  /// answer keeps its partial bag, unreduced.
+  RunResult run(const PhysicalPtr& plan,
+                std::optional<algebra::Reduction> reduce = std::nullopt);
 
  private:
   struct Outcome {
@@ -215,9 +222,13 @@ class Runtime {
   /// Collapses an Outcome's columnar form back to rows (no-op without
   /// one). Called on operator fallback and before the final answer.
   void ensure_rows(Outcome* out);
-  /// Leaf conversion: rows -> batches when vec is on and the bag is flat;
-  /// otherwise keeps the rows (counting the fallback when vec is on).
-  Outcome make_leaf_outcome(const std::vector<Value>& rows);
+  /// Converts an Outcome's rows to columns when vec is on and the rows
+  /// are flat (no-op when already columnar); otherwise keeps the rows,
+  /// counting the fallback. Called by the batch operators on their
+  /// inputs.
+  void ensure_batch(Outcome* out);
+  /// The reduction of a complete outcome.
+  Value aggregate_outcome(Outcome* out, algebra::Reduction reduce);
   /// Shared exec machinery: runs `remote` at `repository` through
   /// `wrapper_name`; on unavailability the residual is
   /// `logical_for_residual`. `origin` identifies the plan node for

@@ -370,9 +370,11 @@ bool ResubmissionManager::advance(
       ++stats_.resubmissions;
     }
     s.accumulate(answer.stats());
-    if (initial && answer.complete()) {
-      // Completed on the spot: keep the answer's exact shape (local-mode
-      // results may be scalars, not bags).
+    if ((initial && answer.complete()) || !answer.data().is_collection()) {
+      // Completed on the spot: keep the answer's exact shape (aggregates
+      // answer scalars, not bags). A scalar on a resubmission is an
+      // aggregate's whole-query residual answered in full: an aggregate
+      // has no partial form, so there are no earlier rows to merge.
       s.final_answer = std::make_unique<Answer>(answer);
       s.started = true;
       done = true;

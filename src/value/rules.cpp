@@ -1,6 +1,8 @@
 #include "value/rules.hpp"
 
+#include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -33,6 +35,58 @@ Value empty_aggregate(Aggregate fn) {
       throw ExecutionError("max of an empty collection");
   }
   throw InternalError("corrupt aggregate");
+}
+
+void NumericSum::add(double v) {
+  ++count_;
+  if (!std::isfinite(v)) {
+    saw_non_finite_ = true;
+    non_finite_ += v;
+    return;
+  }
+  // Two-sum v into each partial; keep the nonzero round-off terms.
+  size_t kept = 0;
+  for (double partial : partials_) {
+    double big = v;
+    double small = partial;
+    if (std::fabs(big) < std::fabs(small)) std::swap(big, small);
+    const double hi = big + small;
+    const double lo = small - (hi - big);
+    if (lo != 0) partials_[kept++] = lo;
+    v = hi;
+  }
+  partials_.resize(kept);
+  if (!std::isfinite(v)) {
+    // Finite items overflowed: the exact total is beyond the doubles.
+    saw_non_finite_ = true;
+    non_finite_ += v;
+  } else if (v != 0) {
+    partials_.push_back(v);
+  }
+}
+
+double NumericSum::total() const {
+  if (saw_non_finite_) return non_finite_;
+  if (partials_.empty()) return 0;
+  // Add from the largest partial down until the round-off is nonzero,
+  // then round half-even against the sign of what remains below it.
+  size_t n = partials_.size() - 1;
+  double hi = partials_[n];
+  double lo = 0;
+  while (n > 0) {
+    const double x = hi;
+    const double y = partials_[--n];
+    hi = x + y;
+    lo = y - (hi - x);
+    if (lo != 0) break;
+  }
+  if (n > 0 && ((lo < 0 && partials_[n - 1] < 0) ||
+                (lo > 0 && partials_[n - 1] > 0))) {
+    const double y = lo * 2;
+    const double x = hi + y;
+    if (y == x - hi) hi = x;
+  }
+  return hi;
 }
 
 Value aggregate(Aggregate fn, const std::vector<Value>& items) {

@@ -159,33 +159,43 @@ inline bool replaces(Aggregate fn, int c) {
   return fn == Aggregate::Min ? c < 0 : c > 0;
 }
 
-/// sum/avg accumulation: every item adds as a double in arrival order,
-/// and as an int while every item is an Int. The sum is Int only when
-/// every item was Int; the average is always real.
+/// sum/avg accumulation. The real total is exact until the one final
+/// rounding (non-overlapping partial sums, Shewchuk's algorithm), so it
+/// depends only on the multiset of items, never on their order: a bag's
+/// sum is the same whichever engine, source or branch order delivered
+/// it. The int total is kept while every item is an Int. The sum is Int
+/// only when every item was Int; the average is always real.
 class NumericSum {
  public:
   void add_int(int64_t v) {
-    total_ += static_cast<double>(v);
+    add(static_cast<double>(v));
     int_total_ += v;
-    ++count_;
   }
   void add_double(double v) {
     all_int_ = false;
-    total_ += v;
-    ++count_;
+    add(v);
   }
   /// Sum or Avg of what was added.
   Value result(Aggregate fn) const {
     if (fn == Aggregate::Avg) {
       return Value::real(count_ == 0 ? 0.0
-                                     : total_ / static_cast<double>(count_));
+                                     : total() / static_cast<double>(count_));
     }
-    return all_int_ ? Value::integer(int_total_) : Value::real(total_);
+    return all_int_ ? Value::integer(int_total_) : Value::real(total());
   }
 
  private:
+  void add(double v);
+  /// The correctly rounded sum of every item added (an inf or nan item
+  /// makes it the IEEE sum of those items alone).
+  double total() const;
+
   bool all_int_ = true;
-  double total_ = 0;
+  /// Nonzero, non-overlapping, increasing in magnitude; their exact sum
+  /// is the exact sum of the finite items.
+  std::vector<double> partials_;
+  double non_finite_ = 0;
+  bool saw_non_finite_ = false;
   int64_t int_total_ = 0;
   size_t count_ = 0;
 };

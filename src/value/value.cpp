@@ -146,6 +146,18 @@ const std::string& Value::as_string() const {
 
 const std::vector<Value>& Value::items() const { return collection().items; }
 
+std::vector<Value> Value::take_items() && {
+  collection();  // throws for a non-collection
+  std::shared_ptr<const Collection> coll = std::get<5>(std::move(payload_));
+  payload_ = std::monostate{};
+  // The factories above build every Collection non-const, so a sole
+  // owner may move its items out: no other Value can observe it.
+  if (coll.use_count() == 1) {
+    return std::move(const_cast<Collection&>(*coll).items);
+  }
+  return coll->items;
+}
+
 const std::vector<std::pair<std::string, Value>>& Value::fields() const {
   return struct_data().fields;
 }

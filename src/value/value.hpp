@@ -64,6 +64,9 @@ class Value {
   const std::string& as_string() const;
   /// Items of a bag/set/list.
   const std::vector<Value>& items() const;
+  /// Items of a bag/set/list, moved out when this value is their only
+  /// owner and copied when they are shared; leaves this value null.
+  std::vector<Value> take_items() &&;
   /// Fields of a struct, in declaration order.
   const std::vector<std::pair<std::string, Value>>& fields() const;
   /// Struct field lookup by name; throws ExecutionError when absent.

@@ -36,11 +36,12 @@
 
 namespace disco::vec {
 
-/// Batch-execution knobs (Mediator::Options::vec). Off by default: the
-/// row path is the paper's reference semantics and the vec path is the
-/// differentially-tested accelerator.
+/// Batch-execution knobs (Mediator::Options::vec). On by default: flat
+/// rows run columnar, and the row path stays the reference semantics
+/// (the differential tests' twin) and the fallback for every shape
+/// from_rows declines.
 struct VecOptions {
-  bool enabled = false;
+  bool enabled = true;
   /// Fixed batch capacity: converters and batch-producing operators cut
   /// their output into chunks of at most this many rows.
   size_t batch_rows = 4096;

@@ -442,11 +442,7 @@ bool concat_tables(Table* into, Table&& part) {
   return true;
 }
 
-std::optional<Value> aggregate_table(const Table& table,
-                                     std::string_view name) {
-  const std::optional<Aggregate> agg = aggregate_named(name);
-  if (!agg.has_value()) return std::nullopt;
-  const Aggregate fn = *agg;
+std::optional<Value> aggregate_table(const Table& table, Aggregate fn) {
   const size_t rows = table.rows();
   if (rows == 0) return empty_aggregate(fn);
   if (fn == Aggregate::Count) {

@@ -20,12 +20,12 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "algebra/logical.hpp"
 #include "catalog/catalog.hpp"
 #include "oql/ast.hpp"
+#include "value/rules.hpp"
 #include "vec/batch.hpp"
 
 namespace disco::vec {
@@ -105,13 +105,12 @@ Table hash_join_tables(const Table& left, const Table& right, int left_col,
 /// must fall back to row concatenation.
 bool concat_tables(Table* into, Table&& part);
 
-/// Aggregates a Scalar-shaped table under the aggregate rule ("count",
-/// "sum", "avg", "min", "max"); an empty min/max raises the rule's
-/// error. nullopt for any other name or when a kernel cannot take the
-/// input (non-scalar shape, nulls or non-numerics under sum/avg) — the
-/// caller re-evaluates on the row path, which raises the rule's errors.
-std::optional<Value> aggregate_table(const Table& table,
-                                     std::string_view name);
+/// Aggregates a table under the aggregate rule; count takes any shape,
+/// the others a Scalar-shaped table, and an empty min/max raises the
+/// rule's error. nullopt when a kernel cannot take the input (non-scalar
+/// shape, nulls or non-numerics under sum/avg) — the caller aggregates
+/// the rebuilt rows, which raises the rule's errors.
+std::optional<Value> aggregate_table(const Table& table, Aggregate fn);
 
 // -- static shape (explain) --------------------------------------------------
 

@@ -153,6 +153,13 @@ inline std::string odl_for(const std::vector<IfaceSpec>& ifaces,
   return odl;
 }
 
+/// The reference twin's options: the row path. Columnar execution is
+/// the default, so every reference world turns it off explicitly.
+inline Mediator::Options row_path(Mediator::Options options) {
+  options.vec.enabled = false;
+  return options;
+}
+
 struct Outcome {
   bool threw = false;
   bool complete = false;
@@ -184,8 +191,8 @@ inline Outcome run(Mediator& mediator, const std::string& query) {
 /// The assertion at the heart of both harnesses: when one twin throws
 /// the other must too; otherwise the same answer bag (compared as sorted
 /// OQL row texts), completeness and residual queries. `reference` is
-/// the row-path, MiniSQL twin and never touches the vec path. Returns
-/// both outcomes so callers can chain (resubmission).
+/// the MiniSQL twin built with row_path(), and never touches the vec
+/// path. Returns both outcomes so callers can chain (resubmission).
 inline std::pair<Outcome, Outcome> expect_equivalent(
     Mediator& reference, Mediator& other, const std::string& query,
     size_t* compared) {

@@ -4,11 +4,13 @@
 // The shared generator (differential.hpp) builds a random flat
 // federation — 1-2 interfaces of 2-4 attributes, 1-3 member extents
 // each, 0-25 rows per extent with occasional nils — and materializes the SAME
-// logical data twice: as memdb tables behind the MiniSQL wrapper, and as
-// document collections (structs with identical field order, k-indexed)
-// behind the doc wrapper. Both federations answer the same generated
-// OQL — filters, projections, distinct, joins, unions via the
-// collective extent, aggregates — and every query must agree:
+// logical data twice: as memdb tables behind the MiniSQL wrapper, run
+// on the row path as the reference, and as document collections
+// (structs with identical field order, k-indexed) behind the doc
+// wrapper, run with the default columnar execution. Both federations
+// answer the same generated OQL — filters, projections, distinct,
+// joins, unions via the collective extent, aggregates — and every
+// query must agree:
 //
 //   * same answer bag (compared as sorted OQL row texts);
 //   * same completeness and, when partial, the same residual queries;
@@ -87,7 +89,7 @@ struct TwinWorld {
     options.network_seed = seed;
     options.exec.workers = workers;
 
-    rel = std::make_unique<Mediator>(options);
+    rel = std::make_unique<Mediator>(row_path(options));
     auto mw = std::make_shared<wrapper::MemDbWrapper>();
     mw->attach_database("r0", db.get());
     rel->register_wrapper("w0", std::move(mw));

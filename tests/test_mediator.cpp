@@ -4,7 +4,9 @@
 
 #include "common/error.hpp"
 #include "fixtures.hpp"
+#include "oql/eval.hpp"
 #include "oql/parser.hpp"
+#include "oql/printer.hpp"
 
 namespace disco {
 namespace {
@@ -278,9 +280,152 @@ TEST(MediatorTest, ExplainOutput) {
       world.mediator.explain("select x.name from x in person");
   EXPECT_NE(text.find("plan: mkunion("), std::string::npos) << text;
   EXPECT_NE(text.find("plans considered"), std::string::npos);
-  std::string local = world.mediator.explain("count(person)");
+  std::string aggregate = world.mediator.explain("count(person)");
+  EXPECT_NE(aggregate.find("plan: count(mkunion("), std::string::npos)
+      << aggregate;
+  std::string local = world.mediator.explain(
+      "flatten(select bag(x.name) from x in person)");
   EXPECT_NE(local.find("mode: local evaluation"), std::string::npos);
   EXPECT_NE(local.find("aux person:"), std::string::npos);
+}
+
+// The outcome of `query` under the row evaluator over the materialized
+// extents: the answer's OQL text, or the error text.
+std::string evaluated(PaperWorld& world, const std::string& query,
+                      const std::vector<std::string>& extents = {
+                          "person", "person0", "person1"}) {
+  oql::MapResolver resolver;
+  for (const std::string& extent : extents) {
+    Answer rows = world.mediator.query(std::string("select x from x in ") +
+                                       extent);
+    resolver.bind(extent, rows.data());
+  }
+  resolver.bind("ghosts", Value::bag({}));
+  try {
+    return oql::Evaluator(&resolver).eval(oql::parse(query)).to_oql();
+  } catch (const ExecutionError& e) {
+    return e.what();
+  }
+}
+
+std::string outcome_of(Mediator& mediator, const std::string& query) {
+  try {
+    return mediator.query(query).data().to_oql();
+  } catch (const ExecutionError& e) {
+    return e.what();
+  }
+}
+
+// count/sum/avg/min/max plan their collection like any select and reduce
+// the plan's answer, columnar or on rows, to what the row evaluator gives
+// over the materialized extents: the same value or the same error text.
+// Salary 200 sits in both person extents, so a distinct select's
+// branches are each distinct but their union is not. The readings are
+// reals whose naive sum depends on the order they are added in.
+TEST(MediatorTest, AggregatesRunOnThePlan) {
+  const char* collections[] = {
+      // pushable where
+      "select x.salary from x in person where x.salary > 10",
+      // an implicit extent and one extent by name
+      "person",
+      "person0",
+      "select distinct x.salary from x in person",
+      // a type with no extents
+      "select x.salary from x in ghosts",
+      // a string column: sum and avg raise, min and max order strings
+      "select x.name from x in person",
+      // a real column, as a bag and as a set
+      "select x.d from x in reading",
+      "select distinct x.d from x in reading",
+  };
+  Mediator::Options row_path;
+  row_path.vec.enabled = false;
+  for (const Mediator::Options& options : {Mediator::Options{}, row_path}) {
+    PaperWorld world(options);
+    world.db0.table("person0").insert(
+        {Value::integer(3), Value::string("Ann"), Value::integer(200)});
+    world.db1.table("person1").insert(
+        {Value::integer(4), Value::string("Bob"), Value::integer(200)});
+    const std::vector<std::vector<double>> readings = {{0.3, 0.2, 0.1},
+                                                       {0.1, 0.3}};
+    for (size_t i = 0; i < readings.size(); ++i) {
+      memdb::Database& db = i == 0 ? world.db0 : world.db1;
+      auto& table = db.create_table("reading" + std::to_string(i),
+                                    {{"id", memdb::ColumnType::Int},
+                                     {"d", memdb::ColumnType::Real}});
+      for (double d : readings[i]) {
+        table.insert({Value::integer(static_cast<int64_t>(table.row_count())),
+                      Value::real(d)});
+      }
+    }
+    world.mediator.execute_odl(R"(
+      interface Ghost (extent ghosts) { attribute Long salary; };
+      interface Reading (extent reading) {
+        attribute Long id;
+        attribute Double d; };
+      extent reading0 of Reading wrapper w0 repository r0;
+      extent reading1 of Reading wrapper w0 repository r1;
+    )");
+    for (const char* collection : collections) {
+      for (const char* fn : {"count", "sum", "avg", "min", "max"}) {
+        const std::string query = std::string(fn) + "(" + collection + ")";
+        EXPECT_EQ(outcome_of(world.mediator, query),
+                  evaluated(world, query,
+                            {"person", "person0", "person1", "reading"}))
+            << query << " (vec " << options.vec.enabled << ")";
+        Mediator::ExplainReport report =
+            world.mediator.explain_report(query);
+        EXPECT_FALSE(report.local_mode) << query;
+        EXPECT_EQ(report.plan.rfind(std::string(fn) + "(", 0), 0u)
+            << query << ": " << report.plan;
+      }
+    }
+  }
+}
+
+TEST(MediatorTest, PlannedAggregateShipsOnlyMatchingRows) {
+  PaperWorld world;
+  for (int id = 2; id <= 10; ++id) {
+    world.db0.table("person0").insert({Value::integer(id),
+                                       Value::string("p" + std::to_string(id)),
+                                       Value::integer(id)});
+  }
+  Answer a =
+      world.mediator.query("count(select x from x in person0 where x.id = 7)");
+  ASSERT_TRUE(a.complete());
+  EXPECT_EQ(a.data(), Value::integer(1));
+  EXPECT_EQ(a.stats().run.rows_fetched, 1u);
+  EXPECT_FALSE(a.stats().local_mode);
+}
+
+// A down source leaves an aggregate without an answer: the data part is
+// empty and the whole query is the one residual, as in local mode.
+// Resubmitting that residual once the source is back completes it.
+TEST(MediatorTest, PartialAggregateIsTheWholeQuery) {
+  Mediator::Options row_path;
+  row_path.vec.enabled = false;
+  for (const Mediator::Options& options : {Mediator::Options{}, row_path}) {
+    PaperWorld world(options);
+    for (const char* fn : {"count", "sum", "avg", "min", "max"}) {
+      const std::string query =
+          std::string(fn) +
+          "(select x.salary from x in person where x.salary > 10)";
+      world.mediator.network().set_availability(
+          "r1", net::Availability::always_down());
+      Answer partial = world.mediator.query(query);
+      world.mediator.network().set_availability(
+          "r1", net::Availability::always_up());
+      ASSERT_FALSE(partial.complete()) << query;
+      EXPECT_EQ(partial.data(), Value::bag({})) << query;
+      ASSERT_EQ(partial.residual_queries().size(), 1u) << query;
+      EXPECT_EQ(partial.residual_queries()[0],
+                oql::to_oql(oql::parse(query)));
+      Answer resubmitted = world.mediator.query(partial.to_oql());
+      ASSERT_TRUE(resubmitted.complete()) << query;
+      EXPECT_EQ(resubmitted.data().to_oql(), evaluated(world, query))
+          << query;
+    }
+  }
 }
 
 TEST(MediatorTest, ErrorsSurfaceCleanly) {
@@ -323,6 +468,7 @@ TEST(MediatorTest, PushdownOnOffAndVecAgreeOnOutcomes) {
   Mediator::Options pushdown_off;
   pushdown_off.optimizer.enable_select_pushdown = false;
   pushdown_off.optimizer.enable_join_merge = false;
+  pushdown_off.vec.enabled = false;
   Mediator::Options vec = pushdown_off;
   vec.vec.enabled = true;
   for (const Row& row : rows) {
@@ -360,6 +506,40 @@ TEST(MediatorTest, PushdownOnOffAndVecAgreeOnOutcomes) {
           << options.vec.enabled << ")";
     }
   }
+}
+
+// A never-repeated text is a new exact cost key, but when its cost
+// matches the close estimate it was planned with, no estimate the
+// optimizer reads moved: a hot text's cached plan stays. A cold text
+// whose cost is materially different does move one and evicts it.
+TEST(MediatorTest, ColdQueryMatchingItsCloseEstimateKeepsCachedPlans) {
+  Mediator::Options options;
+  options.enable_plan_cache = true;
+  PaperWorld world(options);
+  world.db0.table("person0").insert(
+      {Value::integer(2), Value::string("Ann"), Value::integer(90)});
+  const std::string hot = "select x.name from x in person0 where x.id = 1";
+  world.mediator.query(hot);
+  world.mediator.query(hot);  // replans once: the first run taught costs
+  const Mediator::PlanCacheStats warm = world.mediator.plan_cache_stats();
+  world.mediator.query(hot);
+  EXPECT_EQ(world.mediator.plan_cache_stats().hits, warm.hits + 1);
+
+  // Same shape, same row count, same latency as the close estimate.
+  world.mediator.query("select x.name from x in person0 where x.id = 2");
+  const Mediator::PlanCacheStats matched = world.mediator.plan_cache_stats();
+  world.mediator.query(hot);
+  EXPECT_EQ(world.mediator.plan_cache_stats().hits, matched.hits + 1);
+  EXPECT_EQ(world.mediator.plan_cache_stats().invalidations,
+            matched.invalidations);
+
+  // Same shape, no rows: the estimate moved, the cached plan goes.
+  world.mediator.query("select x.name from x in person0 where x.id = 99");
+  const Mediator::PlanCacheStats moved = world.mediator.plan_cache_stats();
+  world.mediator.query(hot);
+  EXPECT_EQ(world.mediator.plan_cache_stats().hits, moved.hits);
+  EXPECT_EQ(world.mediator.plan_cache_stats().invalidations,
+            moved.invalidations + 1);
 }
 
 TEST(MediatorTest, DuplicateWrapperRejected) {

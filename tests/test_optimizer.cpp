@@ -295,7 +295,8 @@ TEST_F(OptimizerTest, NestedSubqueryRegistersAux) {
 
 TEST_F(OptimizerTest, LocalModeForNonSelectTopLevel) {
   Optimizer opt = make();
-  auto result = opt.optimize(parse("sum(select x.salary from x in person)"));
+  auto result = opt.optimize(
+      parse("flatten(select bag(x.salary) from x in person)"));
   EXPECT_EQ(result.plan, nullptr);
   ASSERT_NE(result.local, nullptr);
   ASSERT_EQ(result.aux.size(), 1u);

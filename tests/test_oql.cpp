@@ -404,6 +404,25 @@ TEST_F(EvalFixture, DependentDomains) {
   EXPECT_EQ(v.size(), 2u);
 }
 
+TEST(Env, InnermostBindWinsAndRebindReplaces) {
+  Env outer;
+  outer.bind("x", Value::integer(1));
+  outer.bind("y", Value::integer(2));
+  outer.bind("x", Value::integer(3));  // rebinding replaces in place
+  Env inner(&outer);
+  inner.bind("x", Value::integer(4));
+  ASSERT_NE(inner.find("x"), nullptr);
+  EXPECT_EQ(*inner.find("x"), Value::integer(4));
+  EXPECT_EQ(*inner.find("y"), Value::integer(2));  // through the parent
+  EXPECT_EQ(*outer.find("x"), Value::integer(3));
+  EXPECT_EQ(inner.find("z"), nullptr);
+}
+
+TEST_F(EvalFixture, ShadowedVariableResolvesToTheInnermostBinding) {
+  EXPECT_EQ(run("select x from x in bag(1, 2), x in bag(7)"),
+            Value::bag({Value::integer(7), Value::integer(7)}));
+}
+
 TEST_F(EvalFixture, DistinctSelectYieldsSet) {
   Value v = run("select distinct x.salary from x in person");
   EXPECT_EQ(v.kind(), ValueKind::Set);

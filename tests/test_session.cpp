@@ -408,6 +408,38 @@ TEST(SessionTest, ResidualResubmittedUntilCompleteAndMerged) {
   EXPECT_EQ(manager.pending(), 0u);
 }
 
+TEST(SessionTest, AggregateResidualCompletesWithItsScalar) {
+  // An aggregate's partial answer is an empty bag plus the whole query;
+  // its resubmission answers a scalar, which is the final answer.
+  std::atomic<bool> source_up{false};
+  session::SessionOptions options;
+  options.retry_interval_s = 0.002;
+  session::ResubmissionManager manager(
+      [&](const std::string& text, double) {
+        if (!source_up.load()) {
+          return Answer::partial_answer(Value::bag({}), {oql::parse(text)},
+                                        stub_stats());
+        }
+        return Answer::complete_answer(Value::integer(2), stub_stats());
+      },
+      options);
+  session::QueryHandle handle =
+      manager.submit("count(select x from x in person)");
+  ASSERT_TRUE([&] {
+    for (int i = 0; i < 1000; ++i) {
+      if (handle.resubmissions() >= 1) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }());
+  source_up = true;
+  manager.notify_recovery();
+  Answer answer = handle.wait();
+  EXPECT_TRUE(answer.complete());
+  EXPECT_EQ(answer.data(), Value::integer(2));
+  EXPECT_EQ(handle.state(), session::SessionState::Complete);
+}
+
 TEST(SessionTest, SnapshotBeforeFirstRunIsTheWholeQueryResidual) {
   std::mutex gate;
   gate.lock();  // hold the runner hostage so the initial run cannot finish

@@ -124,10 +124,47 @@ TEST_F(TranslateTest, ClosureAuxSeparateFromPlainAux) {
 }
 
 TEST_F(TranslateTest, LocalModeForAggregates) {
-  TranslationUnit unit = run("sum(select x.salary from x in person)");
+  // An aggregate whose collection cannot plan (a dependent domain)
+  // still evaluates locally over materialized extents.
+  TranslationUnit unit = run(
+      "count(select m from g in (select struct(ms: bag(1, 2)) from x in "
+      "person0), m in g.ms)");
   EXPECT_FALSE(unit.is_plan_mode());
+  EXPECT_FALSE(unit.aggregate.has_value());
   EXPECT_NE(unit.local, nullptr);
   EXPECT_EQ(unit.aux.size(), 1u);
+}
+
+TEST_F(TranslateTest, AggregatesPlanTheirCollection) {
+  TranslationUnit select = run("sum(select x.salary from x in person)");
+  ASSERT_TRUE(select.is_plan_mode());
+  ASSERT_TRUE(select.aggregate.has_value());
+  EXPECT_EQ(select.aggregate->fn, Aggregate::Sum);
+  EXPECT_FALSE(select.aggregate->distinct);
+  EXPECT_EQ(select.plan->children.size(), 2u);  // one branch per extent
+  EXPECT_TRUE(select.aux.empty());
+
+  TranslationUnit extent = run("count(person)");
+  ASSERT_TRUE(extent.is_plan_mode());
+  ASSERT_TRUE(extent.aggregate.has_value());
+  EXPECT_EQ(extent.aggregate->fn, Aggregate::Count);
+  EXPECT_EQ(extent.plan->children.size(), 2u);
+  EXPECT_EQ(extent.prune.extents_considered, 2u);
+
+  TranslationUnit closure = run("max(person*)");
+  ASSERT_TRUE(closure.is_plan_mode());
+  ASSERT_TRUE(closure.aggregate.has_value());
+  EXPECT_EQ(closure.aggregate->fn, Aggregate::Max);
+
+  // Each branch of a distinct select is distinct, their union is not:
+  // the reduction collapses the whole answer first.
+  TranslationUnit distinct =
+      run("count(select distinct x.salary from x in person)");
+  ASSERT_TRUE(distinct.aggregate.has_value());
+  EXPECT_TRUE(distinct.aggregate->distinct);
+
+  // Not one of the five aggregates: local mode, as before.
+  EXPECT_FALSE(run("element(select x from x in person0)").is_plan_mode());
 }
 
 TEST_F(TranslateTest, LocalModeForDependentDomains) {

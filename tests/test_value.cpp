@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "value/rules.hpp"
 #include "value/value.hpp"
 
 namespace disco {
@@ -322,6 +325,43 @@ TEST(Value, NestedStructures) {
   EXPECT_EQ(nested.field("inner").size(), 2u);
   EXPECT_EQ(nested.field("inner").items()[1].field("name").as_string(),
             "Sam");
+}
+
+// A bag has no order, so neither may its sum: the real total is exact
+// until one final rounding, whichever order the items arrive in.
+TEST(ValueRules, SumAndAvgAreIndependentOfItemOrder) {
+  std::vector<Value> items = {Value::real(0.1), Value::real(0.2),
+                              Value::real(0.3), Value::real(1e16),
+                              Value::real(-1e16), Value::integer(1)};
+  std::sort(items.begin(), items.end(), [](const Value& a, const Value& b) {
+    return Value::compare(a, b) < 0;
+  });
+  const Value sum = aggregate(Aggregate::Sum, items);
+  const Value avg = aggregate(Aggregate::Avg, items);
+  EXPECT_EQ(sum, Value::real(1.6));
+  size_t orders = 0;
+  do {
+    ASSERT_EQ(aggregate(Aggregate::Sum, items).to_oql(), sum.to_oql());
+    ASSERT_EQ(aggregate(Aggregate::Avg, items).to_oql(), avg.to_oql());
+    ++orders;
+  } while (std::next_permutation(
+      items.begin(), items.end(), [](const Value& a, const Value& b) {
+        return Value::compare(a, b) < 0;
+      }));
+  EXPECT_EQ(orders, 720u);
+  // Arrival-order addition would give 0.6000000000000001 here.
+  EXPECT_EQ(aggregate(Aggregate::Sum, {Value::real(0.1), Value::real(0.2),
+                                       Value::real(0.3)}),
+            Value::real(0.6));
+  // Non-finite items sum as IEEE values; Int-only sums stay Int.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(aggregate(Aggregate::Sum, {Value::real(inf), Value::real(1)}),
+            Value::real(inf));
+  EXPECT_TRUE(std::isnan(
+      aggregate(Aggregate::Sum, {Value::real(inf), Value::real(-inf)})
+          .as_double()));
+  EXPECT_EQ(aggregate(Aggregate::Sum, {Value::integer(2), Value::integer(3)}),
+            Value::integer(5));
 }
 
 }  // namespace

@@ -789,7 +789,8 @@ TEST(VecAggregate, MatchesEvalCallProperty) {
     std::optional<Table> table = vec::from_rows(items, 4);
     ASSERT_TRUE(table.has_value());
     for (const std::string& fn : fns) {
-      std::optional<Value> got = vec::aggregate_table(*table, fn);
+      std::optional<Value> got =
+          vec::aggregate_table(*table, *aggregate_named(fn));
       ASSERT_TRUE(got.has_value()) << fn << " seed " << seed;
       oql::Env env;
       env.bind("xs", Value::bag(items));
@@ -802,9 +803,10 @@ TEST(VecAggregate, MatchesEvalCallProperty) {
 
 TEST(VecAggregate, EdgeSemanticsMirrorTheEvaluator) {
   const Table empty = *vec::from_rows({}, 4);
-  EXPECT_EQ(vec::aggregate_table(empty, "count"), Value::integer(0));
-  EXPECT_EQ(vec::aggregate_table(empty, "sum"), Value::integer(0));
-  EXPECT_EQ(vec::aggregate_table(empty, "avg"), Value::real(0.0));
+  EXPECT_EQ(vec::aggregate_table(empty, Aggregate::Count),
+            Value::integer(0));
+  EXPECT_EQ(vec::aggregate_table(empty, Aggregate::Sum), Value::integer(0));
+  EXPECT_EQ(vec::aggregate_table(empty, Aggregate::Avg), Value::real(0.0));
   // Empty min/max raise the aggregate rule's error, the evaluator's
   // text exactly.
   oql::Evaluator evaluator;
@@ -818,41 +820,43 @@ TEST(VecAggregate, EdgeSemanticsMirrorTheEvaluator) {
       row_error = e.what();
     }
     try {
-      vec::aggregate_table(empty, fn);
+      vec::aggregate_table(empty, *aggregate_named(fn));
     } catch (const ExecutionError& e) {
       vec_error = e.what();
     }
     EXPECT_FALSE(row_error.empty()) << fn;
     EXPECT_EQ(vec_error, row_error) << fn;
   }
-  // Unknown function declines.
-  EXPECT_FALSE(vec::aggregate_table(empty, "median").has_value());
+  // Unknown function names no aggregate.
+  EXPECT_FALSE(aggregate_named("median").has_value());
 
   // min/max tolerate nils (Value::compare ranks nil lowest) and strings.
   const Table strings =
       *vec::from_rows({Value::string("b"), Value::null(), Value::string("a")},
                       4);
-  EXPECT_EQ(vec::aggregate_table(strings, "min"), Value::null());
-  EXPECT_EQ(vec::aggregate_table(strings, "max"), Value::string("b"));
+  EXPECT_EQ(vec::aggregate_table(strings, Aggregate::Min), Value::null());
+  EXPECT_EQ(vec::aggregate_table(strings, Aggregate::Max),
+            Value::string("b"));
 
   // sum/avg decline on nils and non-numerics — the evaluator throws for
   // those, and the fallback must let it.
   const Table with_nil =
       *vec::from_rows({Value::integer(1), Value::null()}, 4);
-  EXPECT_FALSE(vec::aggregate_table(with_nil, "sum").has_value());
-  EXPECT_FALSE(vec::aggregate_table(strings, "avg").has_value());
+  EXPECT_FALSE(vec::aggregate_table(with_nil, Aggregate::Sum).has_value());
+  EXPECT_FALSE(vec::aggregate_table(strings, Aggregate::Avg).has_value());
 
   // Non-scalar shapes decline for everything but count.
   std::mt19937 rng(9);
   const Table env = *vec::from_rows(random_env_rows(rng, 3, 0), 4);
-  EXPECT_EQ(vec::aggregate_table(env, "count"), Value::integer(3));
-  EXPECT_FALSE(vec::aggregate_table(env, "sum").has_value());
+  EXPECT_EQ(vec::aggregate_table(env, Aggregate::Count),
+            Value::integer(3));
+  EXPECT_FALSE(vec::aggregate_table(env, Aggregate::Sum).has_value());
 
   // sum over mixed Int batches stays Int; avg is real even then.
   const Table ints = *vec::from_rows({Value::integer(2), Value::integer(3)},
                                      1);  // two single-row batches
-  EXPECT_EQ(vec::aggregate_table(ints, "sum"), Value::integer(5));
-  Value avg = *vec::aggregate_table(ints, "avg");
+  EXPECT_EQ(vec::aggregate_table(ints, Aggregate::Sum), Value::integer(5));
+  Value avg = *vec::aggregate_table(ints, Aggregate::Avg);
   EXPECT_EQ(avg.kind(), ValueKind::Double);
   EXPECT_EQ(avg, Value::real(2.5));
 }

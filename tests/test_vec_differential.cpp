@@ -80,7 +80,7 @@ struct TwinWorld {
     base.network_seed = seed;
     base.optimizer.enable_select_pushdown = select_pushdown;
     base.exec.workers = workers;
-    row = make_mediator(base, odl);
+    row = make_mediator(row_path(base), odl);
     base.vec.enabled = true;
     base.vec.batch_rows = 3;
     vectorized = make_mediator(base, odl);
