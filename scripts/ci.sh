@@ -6,8 +6,9 @@
 #                                 # + smokes + benchmark answer checks
 #   DISCO_TSAN=1 scripts/ci.sh    # additionally rebuild the concurrency
 #                                 # suites under ThreadSanitizer
-#   DISCO_ASAN=1 scripts/ci.sh    # additionally rebuild the obs and
-#                                 # value-rule suites under ASan+UBSan
+#   DISCO_ASAN=1 scripts/ci.sh    # additionally rebuild the obs,
+#                                 # value-rule and source-boundary
+#                                 # suites under ASan+UBSan
 #   DISCO_BENCH=1 scripts/ci.sh   # additionally run the experiment
 #                                 # benches (writes BENCH_*.json)
 #   DISCO_COVERAGE=1 scripts/ci.sh  # additionally build instrumented,
@@ -57,14 +58,17 @@ if [[ "${DISCO_TSAN:-0}" != "0" ]]; then
 fi
 
 if [[ "${DISCO_ASAN:-0}" != "0" ]]; then
-  echo "== ASan+UBSan pass (obs label + value-rule suites) =="
+  echo "== ASan+UBSan pass (obs label + value-rule + boundary suites) =="
   cmake -B "$repo/build-asan" -S "$repo" -DDISCO_SANITIZE=address+undefined
   # The value rules (src/value/rules.*) and every engine that calls them:
   # the row evaluator, vec kernels, memdb and the doc differential; plus
   # the row-vs-vec differential and the mediator suite, since columnar
-  # execution is the default path of every mediator test.
+  # execution is the default path of every mediator test; plus the
+  # source boundary that builds those columns (every wrapper's columnar
+  # reply, the wrappers, and the cache that shares replies' columns).
   value_suites=(test_value test_vec test_memdb test_differential
-                test_doc_differential test_vec_differential test_mediator)
+                test_doc_differential test_vec_differential test_mediator
+                test_columnar_replies test_wrapper test_cache)
   cmake --build "$repo/build-asan" -j "$(nproc)" --target test_obs \
     "${value_suites[@]}"
   ctest --test-dir "$repo/build-asan" -L obs --output-on-failure

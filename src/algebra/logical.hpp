@@ -45,15 +45,6 @@ enum class LOp {
 
 const char* to_string(LOp op);
 
-/// The aggregate a planned `agg(<collection>)` applies to its plan's
-/// complete answer. `distinct`: the collection is a `select distinct`.
-/// Each branch is distinct on its own but their union need not be, so
-/// the answer collapses to a set before it is reduced.
-struct Reduction {
-  Aggregate fn;
-  bool distinct = false;
-};
-
 struct Logical;
 using LogicalPtr = std::shared_ptr<const Logical>;
 

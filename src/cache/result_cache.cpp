@@ -62,25 +62,41 @@ uint64_t ResultCache::repo_generation_locked(
 
 void ResultCache::erase_locked(const std::string& key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) return;
+  if (it != entries_.end()) drop_locked(it);
+}
+
+ResultCache::EntryMap::iterator ResultCache::drop_locked(
+    EntryMap::iterator it) {
   bytes_ -= it->second->bytes;
-  entries_.erase(it);
+  lru_.erase(it->second->filed);
+  auto count = repo_entries_.find(it->second->repository);
+  if (--count->second == 0) repo_entries_.erase(count);
+  return entries_.erase(it);
+}
+
+void ResultCache::clear_locked() {
+  entries_.clear();
+  lru_.clear();
+  repo_entries_.clear();
+  bytes_ = 0;
 }
 
 void ResultCache::evict_over_budget_locked() {
-  while (bytes_ > options_.max_bytes && !entries_.empty()) {
-    auto victim = entries_.end();
-    uint64_t oldest = 0;
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      const uint64_t used =
-          it->second->last_used.load(std::memory_order_relaxed);
-      if (victim == entries_.end() || used < oldest) {
-        victim = it;
-        oldest = used;
-      }
+  while (bytes_ > options_.max_bytes && !lru_.empty()) {
+    // Every other entry's last use is at least its filed tick, which is
+    // past this one's: once this entry is unused since filing, it is the
+    // least recently used.
+    auto oldest = lru_.begin();
+    auto victim = entries_.find(*oldest->second);
+    Entry& entry = *victim->second;
+    const uint64_t used = entry.last_used.load(std::memory_order_relaxed);
+    if (used != entry.filed) {
+      lru_.erase(oldest);
+      entry.filed = used;
+      lru_.emplace(used, &victim->first);
+      continue;
     }
-    bytes_ -= victim->second->bytes;
-    entries_.erase(victim);
+    drop_locked(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -121,8 +137,7 @@ ResultCache::Lookup ResultCache::get_or_begin(
           return lookup;
         }
         // Expired: drop it now; the flight below refreshes it.
-        bytes_ -= it->second->bytes;
-        entries_.erase(it);
+        drop_locked(it);
         evictions_.fetch_add(1, std::memory_order_relaxed);
       }
       auto flight_it = flights_.find(key);
@@ -173,15 +188,18 @@ void ResultCache::publish(Ticket& ticket, CachedResult result) {
       auto entry = std::make_unique<Entry>();
       entry->result = shared;
       entry->repository = flight->repository;
-      entry->bytes = flight->key.size() + shared->data.deep_size() +
-                     /*fixed bookkeeping overhead*/ 128;
+      entry->bytes =
+          flight->key.size() + shared->data.deep_size() +
+          (shared->table.has_value() ? vec::byte_size(*shared->table) : 0) +
+          /*fixed bookkeeping overhead*/ 128;
       entry->expires_at_s = now() + options_.ttl_s;
-      entry->last_used.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
+      entry->filed = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+      entry->last_used.store(entry->filed, std::memory_order_relaxed);
       erase_locked(flight->key);
       bytes_ += entry->bytes;
-      entries_[flight->key] = std::move(entry);
+      auto stored = entries_.emplace(flight->key, std::move(entry)).first;
+      lru_.emplace(stored->second->filed, &stored->first);
+      ++repo_entries_[stored->second->repository];
       insertions_.fetch_add(1, std::memory_order_relaxed);
       evict_over_budget_locked();
     }
@@ -209,21 +227,17 @@ bool ResultCache::contains(const std::string& repository,
 void ResultCache::invalidate_all() {
   std::unique_lock lock(mutex_);
   ++generation_;
-  entries_.clear();
-  bytes_ = 0;
+  clear_locked();
   invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ResultCache::invalidate_repository(const std::string& repository) {
   std::unique_lock lock(mutex_);
   ++repo_generations_[repository];
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second->repository == repository) {
-      bytes_ -= it->second->bytes;
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto it = entries_.begin();
+       repo_entries_.contains(repository) && it != entries_.end();) {
+    it = it->second->repository == repository ? drop_locked(it)
+                                              : std::next(it);
   }
   invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -240,8 +254,7 @@ void ResultCache::on_catalog_version(uint64_t version) {
   last_catalog_version_ = version;
   if (first) return;  // nothing cached before the first sighting
   ++generation_;
-  entries_.clear();
-  bytes_ = 0;
+  clear_locked();
   invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -8,12 +8,14 @@
 // memoizes *submit results*:
 //
 //   key   = (repository, canonical serialized remote algebra)
-//   value = the materialized reply rows (an immutable, shared Value)
+//   value = the reply as it arrived: a column table or rows (immutable,
+//           shared)
 //
 // so a warm query costs zero source calls. Three mechanisms keep it
 // honest:
 //
-//   * Eviction: LRU under a byte budget (Value::deep_size accounting)
+//   * Eviction: LRU under a byte budget (Value::deep_size accounting,
+//     vec::byte_size for tables)
 //     plus a per-entry TTL in simulated seconds — the staleness contract
 //     for autonomous sources the mediator cannot watch for updates.
 //   * Invalidation: the mediator drops everything when the catalog
@@ -43,13 +45,16 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
 #include "algebra/logical.hpp"
 #include "value/value.hpp"
+#include "vec/batch.hpp"
 
 namespace disco::cache {
 
@@ -57,8 +62,8 @@ struct CacheOptions {
   /// Master switch; off by default so the §4 fetch-every-time semantics
   /// is unchanged unless asked for.
   bool enabled = false;
-  /// Byte budget for cached replies (Value::deep_size accounting plus a
-  /// fixed per-entry overhead). LRU-evicted when exceeded.
+  /// Byte budget for cached replies (Value::deep_size or vec::byte_size
+  /// accounting plus a fixed per-entry overhead). LRU-evicted when exceeded.
   size_t max_bytes = 8ull << 20;
   /// Per-entry time-to-live in *simulated* seconds (the VirtualClock in
   /// virtual-time mode, scaled wall time in wall-clock mode). Infinity
@@ -82,7 +87,10 @@ struct CacheStats {
 /// table and every thread that was served from it (Value payloads are
 /// shared-immutable, so cross-thread reads are safe).
 struct CachedResult {
-  Value data;                 ///< the wrapper's reply (a bag)
+  Value data;                 ///< the wrapper's reply (a bag), or null
+  /// The reply in columns, kept as it arrived: a hit shares the columns
+  /// and never rebuilds rows.
+  std::optional<vec::Table> table;
   double source_latency_s = 0;  ///< simulated latency of the call that
                                 ///< produced it (for introspection)
 };
@@ -190,15 +198,24 @@ class ResultCache {
     double expires_at_s = std::numeric_limits<double>::infinity();
     /// Recency tick; written under the *shared* lock, hence atomic.
     std::atomic<uint64_t> last_used{0};
+    /// The tick lru_ files this entry under: its last use when filed,
+    /// so never newer than last_used.
+    uint64_t filed = 0;
   };
 
   double now() const { return clock_ ? clock_() : 0.0; }
   bool fresh(const Entry& entry) const {
     return entry.expires_at_s > now();
   }
+  using EntryMap = std::unordered_map<std::string, std::unique_ptr<Entry>>;
+
   uint64_t repo_generation_locked(const std::string& repository) const;
   /// Must hold the exclusive lock.
   void erase_locked(const std::string& key);
+  /// Drops one entry with its bookkeeping (bytes, LRU, per-repository
+  /// count); returns the next entry.
+  EntryMap::iterator drop_locked(EntryMap::iterator it);
+  void clear_locked();
   void evict_over_budget_locked();
   void abandon(const std::shared_ptr<Ticket::Flight>& flight);
 
@@ -206,7 +223,16 @@ class ResultCache {
   Clock clock_;
 
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+  EntryMap entries_;
+  /// Every entry's key by its filed tick (ticks are unique). Hits move
+  /// last_used without the exclusive lock, so eviction re-files an entry
+  /// used since it was filed and takes the first one that was not: the
+  /// least recently used, found in O(log n) instead of a scan of every
+  /// entry per victim.
+  std::map<uint64_t, const std::string*> lru_;
+  /// Entries per repository: invalidating a repository with none (a
+  /// newly registered one) skips the scan of every entry.
+  std::unordered_map<std::string, size_t> repo_entries_;
   std::unordered_map<std::string, std::shared_ptr<Ticket::Flight>> flights_;
   /// Bumped by invalidate_all(); flights born under an older generation
   /// still wake their joiners but are not stored.

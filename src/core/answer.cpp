@@ -6,15 +6,16 @@
 namespace disco {
 
 Answer Answer::complete_answer(Value data, QueryStats stats) {
-  return Answer(std::move(data), {}, std::move(stats));
+  return Answer(std::move(data), {}, std::move(stats), false);
 }
 
 Answer Answer::partial_answer(Value data,
                               std::vector<oql::ExprPtr> residuals,
-                              QueryStats stats) {
+                              QueryStats stats, bool distinct) {
   internal_check(!residuals.empty(),
                  "a partial answer needs at least one residual");
-  return Answer(std::move(data), std::move(residuals), std::move(stats));
+  return Answer(std::move(data), std::move(residuals), std::move(stats),
+                distinct);
 }
 
 std::vector<std::string> Answer::residual_queries() const {
@@ -39,10 +40,13 @@ oql::ExprPtr Answer::as_expr() const {
   if (has_data) {
     parts.push_back(oql::literal(data_));
   }
-  if (parts.size() == 1) {
-    return parts.front();
-  }
-  return oql::call("union", std::move(parts));
+  oql::ExprPtr all = parts.size() == 1
+                         ? parts.front()
+                         : oql::call("union", std::move(parts));
+  // A distinct answer collapses as a whole: its parts may share items,
+  // and a residual need not be distinct on its own (the residual of
+  // distinct(<collection>) is the bare collection).
+  return distinct_ ? oql::call("distinct", {std::move(all)}) : all;
 }
 
 std::string Answer::to_oql() const { return oql::to_oql(as_expr()); }

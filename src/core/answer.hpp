@@ -38,10 +38,13 @@ class Answer {
  public:
   /// Complete answer.
   static Answer complete_answer(Value data, QueryStats stats);
-  /// Partial answer: available data + residual queries.
+  /// Partial answer: available data + residual queries. `distinct`: the
+  /// query's answer is a set (a select distinct over several extents,
+  /// or distinct(...)), so the answer form collapses the data and the
+  /// residuals' answers, which may repeat items.
   static Answer partial_answer(Value data,
                                std::vector<oql::ExprPtr> residuals,
-                               QueryStats stats);
+                               QueryStats stats, bool distinct = false);
 
   /// True when every data source answered: the data IS the result.
   bool complete() const { return residuals_.empty(); }
@@ -56,22 +59,29 @@ class Answer {
   /// re-executes on resubmission (src/session/).
   const std::vector<oql::ExprPtr>& residuals() const { return residuals_; }
 
-  /// The whole answer as one OQL expression (§4's union(query, data)).
-  /// For complete answers this is the data literal.
+  /// A partial answer that collapses to a set (see partial_answer).
+  bool distinct() const { return distinct_; }
+
+  /// The whole answer as one OQL expression (§4's union(query, data)),
+  /// inside distinct(...) when the answer is distinct. For complete
+  /// answers this is the data literal.
   oql::ExprPtr as_expr() const;
   std::string to_oql() const;
 
   const QueryStats& stats() const { return stats_; }
 
  private:
-  Answer(Value data, std::vector<oql::ExprPtr> residuals, QueryStats stats)
+  Answer(Value data, std::vector<oql::ExprPtr> residuals, QueryStats stats,
+         bool distinct)
       : data_(std::move(data)),
         residuals_(std::move(residuals)),
-        stats_(std::move(stats)) {}
+        stats_(std::move(stats)),
+        distinct_(distinct) {}
 
   Value data_;
   std::vector<oql::ExprPtr> residuals_;
   QueryStats stats_;
+  bool distinct_ = false;
 };
 
 }  // namespace disco

@@ -584,7 +584,7 @@ Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
     physical::Runtime runtime(make_context(snap, &resolver,
                                            options.deadline_s,
                                            exec_span.context()));
-    run = runtime.run(planned.plan, planned.aggregate);
+    run = runtime.run(planned.plan, planned.aggregate, planned.distinct);
   }
   stats.run += run.stats;
 
@@ -606,7 +606,7 @@ Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
   }
   residual_span.tag("count", static_cast<uint64_t>(residuals.size()));
   return Answer::partial_answer(std::move(run.data), std::move(residuals),
-                                std::move(stats));
+                                std::move(stats), planned.distinct);
 }
 
 namespace {
@@ -671,23 +671,47 @@ struct VecWalk {
   bool batched = false;
 };
 
+/// The layout of an exec leaf's reply: the env schema of its remote
+/// against the catalog's interfaces, or what a pushed projection makes
+/// of it.
+std::optional<vec::Schema> reply_schema(const algebra::LogicalPtr& remote,
+                                        const catalog::Catalog& catalog) {
+  if (remote->op != algebra::LOp::Project) {
+    return vec::static_schema(remote, catalog);
+  }
+  std::optional<vec::Schema> env = vec::static_schema(remote->child, catalog);
+  if (!env.has_value()) return std::nullopt;
+  std::optional<vec::ProjectionProgram> program =
+      vec::compile_projection(remote->projection, *env);
+  if (!program.has_value()) return std::nullopt;
+  return std::move(program->out_schema);
+}
+
 /// Static mirror of the runtime's per-operator vec decisions over the
 /// chosen plan, appending one "<op> -> vec" / "<op> -> row path" line
-/// per mediator-side operator. Leaves keep their rows, as in
-/// Runtime::eval; filter, project and hash join convert their input when
-/// its layout is known (an Exec leaf's remote is env-shaped against the
-/// catalog's interfaces) and their expressions compile. Actual rows can
-/// still fall back (always safe).
+/// per mediator-side operator. An exec leaf whose wrapper replies in
+/// columns (Wrapper::replies_in_columns) is "exec <repository> -> vec
+/// (columnar reply)", any other "exec <repository> -> row reply"; filter,
+/// project and hash join run on batches when their input's layout is
+/// known and their expressions compile, converting row input. Actual
+/// rows can still fall back (always safe): a reply whose columns the
+/// rules declined arrives as rows, which the operator above converts
+/// (RunStats tells leaf batches from converted ones).
 VecWalk vec_walk(const physical::PhysicalPtr& node,
-                 const catalog::Catalog& catalog,
+                 const fedcat::FederationSnapshot& fed,
                  std::vector<std::string>* ops) {
   switch (node->op) {
-    case physical::POp::Exec:
-      return {vec::static_schema(node->remote, catalog), false};
+    case physical::POp::Exec: {
+      const bool columns = fed.wrapper_by_name(node->wrapper)
+                               ->replies_in_columns(node->remote);
+      ops->push_back("exec " + node->repository +
+                     (columns ? " -> vec (columnar reply)" : " -> row reply"));
+      return {reply_schema(node->remote, fed.catalog), columns};
+    }
     case physical::POp::Const:
       return {};  // data-dependent; decided at run time
     case physical::POp::Filter: {
-      VecWalk in = vec_walk(node->child, catalog, ops);
+      VecWalk in = vec_walk(node->child, fed, ops);
       const bool batched =
           in.schema.has_value() &&
           vec::compile_predicate(node->predicate, *in.schema).has_value();
@@ -695,7 +719,7 @@ VecWalk vec_walk(const physical::PhysicalPtr& node,
       return {std::move(in.schema), batched};
     }
     case physical::POp::Project: {
-      VecWalk in = vec_walk(node->child, catalog, ops);
+      VecWalk in = vec_walk(node->child, fed, ops);
       if (in.schema.has_value()) {
         std::optional<vec::ProjectionProgram> program =
             vec::compile_projection(node->projection, *in.schema);
@@ -708,8 +732,8 @@ VecWalk vec_walk(const physical::PhysicalPtr& node,
       return {};
     }
     case physical::POp::HashJoin: {
-      VecWalk left = vec_walk(node->left, catalog, ops);
-      VecWalk right = vec_walk(node->right, catalog, ops);
+      VecWalk left = vec_walk(node->left, fed, ops);
+      VecWalk right = vec_walk(node->right, fed, ops);
       if (!left.schema.has_value() || !right.schema.has_value()) {
         ops->push_back("hash join -> row path");
         return {};
@@ -733,13 +757,13 @@ VecWalk vec_walk(const physical::PhysicalPtr& node,
       return {std::move(merged), batched};
     }
     case physical::POp::NestedLoopJoin: {
-      vec_walk(node->left, catalog, ops);
-      vec_walk(node->right, catalog, ops);
+      vec_walk(node->left, fed, ops);
+      vec_walk(node->right, fed, ops);
       ops->push_back("nested-loop join -> row path");
       return {};
     }
     case physical::POp::BindJoin: {
-      vec_walk(node->left, catalog, ops);
+      vec_walk(node->left, fed, ops);
       ops->push_back("bind join -> row path");
       return {};
     }
@@ -751,7 +775,7 @@ VecWalk vec_walk(const physical::PhysicalPtr& node,
       bool batched = true;
       bool same_layout = true;
       for (const physical::PhysicalPtr& child : node->children) {
-        VecWalk part = vec_walk(child, catalog, ops);
+        VecWalk part = vec_walk(child, fed, ops);
         batched = batched && part.batched;
         if (first) {
           out.schema = std::move(part.schema);
@@ -809,12 +833,12 @@ Mediator::ExplainReport Mediator::explain_report(
   }
   report.vec = options_.vec.enabled;
   if (report.vec && planned.plan != nullptr) {
-    const VecWalk out = vec_walk(planned.plan, snap->catalog, &report.vec_ops);
+    const VecWalk out = vec_walk(planned.plan, *snap, &report.vec_ops);
     if (!aggregate.empty()) {
       // The reduction takes the answer as it comes: batches only when
       // the top operator produced them.
       const bool batched =
-          out.batched && (planned.aggregate->fn == Aggregate::Count ||
+          out.batched && (*planned.aggregate == Aggregate::Count ||
                           out.schema->shape == vec::RowShape::Scalar);
       report.vec_ops.push_back(aggregate +
                                (batched ? " -> vec" : " -> row path"));

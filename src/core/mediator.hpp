@@ -274,7 +274,8 @@ class Mediator {
     /// One "<op> -> vec" or "<op> -> row path" line per mediator-side
     /// operator ("filter -> vec", "bind join -> row path", "count ->
     /// vec", ...), from a static walk of the chosen plan against the
-    /// catalog's interfaces. Empty when vec is off or the query runs in
+    /// catalog's interfaces, plus "exec <repository> -> vec (columnar
+    /// reply)" per exec leaf. Empty when vec is off or the query runs in
     /// local mode.
     std::vector<std::string> vec_ops;
 

@@ -107,12 +107,8 @@ wrapper::SubmitResult MediatorSource::submit(
   if (expr->op == algebra::LOp::Project) {
     return wrapper::SubmitResult::ok(answer.data());
   }
-  std::vector<Value> items;
-  items.reserve(answer.data().size());
-  for (const Value& env : answer.data().items()) {
-    items.push_back(renamed.rows.from_env(env));
-  }
-  return wrapper::SubmitResult::ok(Value::bag(std::move(items)));
+  for (const Value& env : answer.data().items()) renamed.rows.append_env(env);
+  return renamed.rows.finish();
 }
 
 }  // namespace disco::fedcat

@@ -57,6 +57,11 @@ class MediatorSource : public wrapper::Wrapper {
                                const algebra::LogicalPtr& expr,
                                const wrapper::BindingMap& bindings) override;
   std::string kind() const override { return "mediator"; }
+  /// Env rows are renamed through wrapper/rows.hpp, in columns; a pushed
+  /// projection's values pass through as the remote's rows.
+  bool replies_in_columns(const algebra::LogicalPtr& expr) const override {
+    return expr->op != algebra::LOp::Project;
+  }
 
   /// Last OQL text shipped to the child mediator (for tests). Snapshot:
   /// submit() may run concurrently on executor threads.

@@ -868,6 +868,7 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
   Result result;
   result.expanded = unit.expanded;
   result.aggregate = unit.aggregate;
+  result.distinct = unit.distinct;
   result.prune = unit.prune;
   for (const auto& [name, plan] : unit.aux) {
     result.aux.emplace_back(name, implement(plan));

@@ -126,7 +126,10 @@ class Optimizer {
     physical::PhysicalPtr plan;
     /// Plan mode: the aggregate the runtime reduces the plan's answer
     /// with (count(select ...)); nullopt for a collection query.
-    std::optional<algebra::Reduction> aggregate;
+    std::optional<Aggregate> aggregate;
+    /// Plan mode: the answer collapses to distinct items (see
+    /// TranslationUnit::distinct).
+    bool distinct = false;
     /// Materialization plans for auxiliary collections (nested-subquery
     /// extents), by name.
     std::vector<std::pair<std::string, physical::PhysicalPtr>> aux;

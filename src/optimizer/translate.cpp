@@ -171,12 +171,26 @@ class Translator {
       const oql::ExprPtr& collection = out.expanded->args.front();
       plan = try_plan_collection(collection);
       if (plan != nullptr) {
-        out.aggregate = algebra::Reduction{
-            *fn, collection->kind == oql::ExprKind::Select &&
-                     collection->distinct};
+        out.aggregate = *fn;
+        // Each branch of a select distinct is distinct on its own; their
+        // union need not be.
+        out.distinct = collection->kind == oql::ExprKind::Select &&
+                       collection->distinct;
       }
+    } else if (out.expanded->kind == oql::ExprKind::Call &&
+               out.expanded->name == "distinct" &&
+               out.expanded->args.size() == 1) {
+      // distinct(<collection>), also the form of a distinct partial
+      // answer: plan the bare collection and collapse its answer.
+      plan = try_plan_collection(out.expanded->args.front());
+      out.distinct = plan != nullptr;
     } else {
       plan = try_plan(out.expanded);
+      // Each branch of a select distinct is distinct on its own; their
+      // union need not be.
+      out.distinct = plan != nullptr && plan->op == algebra::LOp::Union &&
+                     out.expanded->kind == oql::ExprKind::Select &&
+                     out.expanded->distinct;
     }
     if (plan != nullptr) {
       out.plan = std::move(plan);

@@ -37,6 +37,7 @@
 #include "algebra/logical.hpp"
 #include "catalog/catalog.hpp"
 #include "oql/ast.hpp"
+#include "value/rules.hpp"
 
 namespace disco::optimizer {
 
@@ -67,7 +68,13 @@ struct TranslationUnit {
   algebra::LogicalPtr plan;
   /// Plan mode: the aggregate that reduces the plan's answer to the
   /// query's value (count(select ...)); nullopt for a collection query.
-  std::optional<algebra::Reduction> aggregate;
+  std::optional<Aggregate> aggregate;
+  /// Plan mode: the answer collapses to a set of distinct items before
+  /// any aggregate reduces it. Set for a select distinct over several
+  /// branches (each branch dedups only itself), for an aggregate of a
+  /// select distinct, and for distinct(<collection>), whose plan is the
+  /// bare collection. A partial answer is wrapped in distinct(...).
+  bool distinct = false;
   /// Local mode: the expression the mediator evaluates itself. Null in
   /// plan mode.
   oql::ExprPtr local;

@@ -23,6 +23,7 @@ Runtime::Runtime(ExecContext context)
 void Runtime::ensure_rows(Outcome* out) {
   if (!out->batch.has_value()) return;
   std::vector<Value> rows = vec::to_rows(*out->batch);
+  stats_.rows_rebuilt += rows.size();
   out->batch.reset();
   if (out->data.empty()) {
     out->data = std::move(rows);
@@ -41,32 +42,39 @@ void Runtime::ensure_batch(Outcome* out) {
     return;
   }
   stats_.vec_batches += table->batches.size();
+  stats_.vec_converted_batches += table->batches.size();
   stats_.vec_rows += table->rows();
   out->batch = std::move(table);
   out->data.clear();
 }
 
-Value Runtime::aggregate_outcome(Outcome* out, algebra::Reduction reduce) {
+void Runtime::distinct_outcome(Outcome* out) {
+  if (out->batch.has_value()) {
+    // First-seen dedup; the row path's Value::set sorts instead. Same
+    // multiset either way, which is all bag answers expose.
+    out->batch = vec::distinct_table(*out->batch, context_.vec.batch_rows);
+  } else {
+    out->data = Value::set(std::move(out->data)).items();
+  }
+}
+
+Value Runtime::aggregate_outcome(Outcome* out, Aggregate fn) {
   if (out->batch.has_value()) {
     obs::ScopedRate rate(context_.metrics, "vec.agg");
     rate.add_rows(out->batch->rows());
     stats_.vec_rows += out->batch->rows();
-    if (reduce.distinct) {
-      out->batch = vec::distinct_table(*out->batch, context_.vec.batch_rows);
-    }
-    if (std::optional<Value> value =
-            vec::aggregate_table(*out->batch, reduce.fn)) {
+    if (std::optional<Value> value = vec::aggregate_table(*out->batch, fn)) {
       return *std::move(value);
     }
     ++stats_.vec_fallbacks;
     ensure_rows(out);
   }
-  if (reduce.distinct) out->data = Value::set(std::move(out->data)).items();
-  return aggregate(reduce.fn, out->data);
+  return aggregate(fn, out->data);
 }
 
 RunResult Runtime::run(const PhysicalPtr& plan,
-                       std::optional<algebra::Reduction> reduce) {
+                       std::optional<Aggregate> reduce,
+                       bool distinct) {
   internal_check(plan != nullptr, "cannot run a null plan");
   stats_ = RunStats{};
   denied_.clear();
@@ -107,11 +115,13 @@ RunResult Runtime::run(const PhysicalPtr& plan,
   stats_.elapsed_s = elapsed;
 
   RunResult result;
+  if (distinct) distinct_outcome(&outcome);
   if (reduce.has_value() && outcome.residuals.empty()) {
     result.data = aggregate_outcome(&outcome, *reduce);
   } else {
     ensure_rows(&outcome);
-    result.data = Value::bag(std::move(outcome.data));
+    result.data = distinct ? Value::set(std::move(outcome.data))
+                           : Value::bag(std::move(outcome.data));
   }
   result.residuals = std::move(outcome.residuals);
   result.stats = stats_;
@@ -222,14 +232,9 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
           rate.add_rows(in.batch->rows());
           stats_.vec_rows += in.batch->rows();
           vec::Table projected = vec::project_table(*in.batch, *program);
-          if (node->distinct) {
-            // First-seen dedup; the row path's Value::set sorts instead.
-            // Same multiset either way, which is all bag answers expose.
-            projected =
-                vec::distinct_table(projected, context_.vec.batch_rows);
-          }
           stats_.vec_batches += projected.batches.size();
           out.batch = std::move(projected);
+          if (node->distinct) distinct_outcome(&out);
         } else {
           ++stats_.vec_fallbacks;
           ensure_rows(&in);
@@ -242,9 +247,7 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
           for (const auto& [var, row] : env.fields()) scope.bind(var, row);
           out.data.push_back(evaluator_.eval(node->projection, scope));
         }
-        if (node->distinct) {
-          out.data = Value::set(std::move(out.data)).items();
-        }
+        if (node->distinct) distinct_outcome(&out);
       }
       for (const algebra::LogicalPtr& residual : in.residuals) {
         out.residuals.push_back(
@@ -311,16 +314,21 @@ Runtime::Fetch Runtime::fetch_from_source(const std::string& repository_name,
         fetch.net.available) {
       cache::CachedResult cached;
       cached.data = fetch.submit.data;
+      cached.table = fetch.submit.table;  // shares the columns
       cached.source_latency_s = fetch.net.latency_s;
       context_.cache->publish(lookup.ticket, std::move(cached));
     }
     return fetch;
   }
-  // Hit or Coalesced: the reply is shared-immutable, so handing the same
-  // Value to many query threads is safe. Zero network latency — a cached
-  // answer is faster than the fastest source.
+  // Hit or Coalesced: the reply is shared-immutable (a Value, or a table
+  // whose columns are never written once built), so handing it to many
+  // query threads is safe. Zero network latency — a cached answer is
+  // faster than the fastest source.
   Fetch fetch;
-  fetch.submit = wrapper::SubmitResult::ok(lookup.result->data);
+  const cache::CachedResult& cached = *lookup.result;
+  fetch.submit = cached.table.has_value()
+                     ? wrapper::SubmitResult::ok(*cached.table)
+                     : wrapper::SubmitResult::ok(cached.data);
   fetch.net.available = true;
   fetch.net.attempts = 0;
   fetch.net.latency_s = 0;
@@ -376,7 +384,7 @@ Runtime::Fetch Runtime::fetch_direct(const std::string& repository_name,
     return fetch;  // call_source throws, on the query's own thread
   }
 
-  size_t rows = fetch.submit.data.size();
+  const size_t rows = fetch.submit.rows();
   if (wall_clock_mode()) {
     // Per-source admission control (src/sched/): acquire this endpoint's
     // token before touching the dispatcher. Admission happens here — in
@@ -533,7 +541,7 @@ Runtime::Outcome Runtime::call_source(
   }
 
   wrapper::SubmitResult result = std::move(fetch.submit);
-  size_t rows = result.data.size();
+  const size_t rows = result.rows();
   max_latency_ = std::max(max_latency_, fetch.net.latency_s);
   stats_.rows_fetched += rows;
   if (context_.record_exec && !cache_served) {
@@ -541,8 +549,27 @@ Runtime::Outcome Runtime::call_source(
                          record_shape != nullptr ? record_shape : remote,
                          fetch.net.latency_s, rows);
   }
-  if (context_.validate_rows && !cache_served &&
-      remote->op != algebra::LOp::Project) {
+  // The outcome owns the reply: a table as it arrived (its columns are
+  // shared with the cache, never copied), or the rows, copied when
+  // shared (a cached reply). The row path (vec off, the differentials'
+  // reference) and row validation take rows.
+  Outcome out;
+  if (result.table.has_value()) {
+    out.batch = std::move(result.table);
+    if (context_.vec.enabled) {
+      stats_.vec_batches += out.batch->batches.size();
+      stats_.vec_leaf_batches += out.batch->batches.size();
+    }
+  } else {
+    out.data = std::move(result.data).take_items();
+    if (result.columns_declined && context_.vec.enabled) {
+      ++stats_.vec_fallbacks;
+    }
+  }
+  const bool validate = context_.validate_rows && !cache_served &&
+                        remote->op != algebra::LOp::Project;
+  if (!context_.vec.enabled || validate) ensure_rows(&out);
+  if (validate) {
     // §2.1's run-time type check: every variable's rows must inhabit the
     // extent's interface. Project-topped replies carry computed values,
     // not typed rows, and are skipped. Map variables to interfaces by
@@ -567,7 +594,7 @@ Runtime::Outcome Runtime::call_source(
           }
         };
     collect(remote);
-    for (const Value& env : result.data.items()) {
+    for (const Value& env : out.data) {
       for (const auto& [var, row] : env.fields()) {
         auto it = by_var.find(var);
         if (it == by_var.end()) continue;
@@ -575,10 +602,6 @@ Runtime::Outcome Runtime::call_source(
       }
     }
   }
-  // The outcome owns the reply's rows; a shared reply (a cached one)
-  // is copied.
-  Outcome out;
-  out.data = std::move(result.data).take_items();
   return out;
 }
 

@@ -57,6 +57,7 @@
 #include "oql/eval.hpp"
 #include "physical/plan.hpp"
 #include "sched/scheduler.hpp"
+#include "value/rules.hpp"
 #include "vec/batch.hpp"
 #include "vec/ops.hpp"
 #include "wrapper/wrapper.hpp"
@@ -118,12 +119,16 @@ struct ExecContext {
   /// rows, outcome) and circuit refusals record "short_circuit" instants
   /// under it. Default-off: one pointer check per site.
   obs::ObsContext obs;
-  /// Columnar batch execution (src/vec/), on by default. Filter, project
-  /// and hash join convert flat input rows to column batches and run
-  /// batch-wise, as do a union of their batches and a planned aggregate
-  /// of them, falling back per operator whenever the data or the
-  /// expression is outside the vectorizable subset. Leaves keep their
-  /// rows, so a fully pushed plan never converts. Purely an
+  /// Columnar batch execution (src/vec/), on by default. Wrappers reply
+  /// in columns (wrapper/rows.hpp), and exec leaves keep those tables:
+  /// filter, project and hash join run batch-wise on them, as do a
+  /// union of their batches and a planned aggregate of them. Row input
+  /// (a declined reply, a constant, a row-path operator's output) is
+  /// converted when flat; each operator falls back whenever the data or
+  /// the expression is outside the vectorizable subset, and rows are
+  /// rebuilt once, at the answer. Leaf batches are cut at the wrappers'
+  /// capacity (VecOptions' default), not at `batch_rows`. Off, every
+  /// leaf is turned into rows and the run is the row path. Purely an
   /// execution-strategy switch: answers are bag-equal to the row path
   /// (enforced by tests/test_vec_differential.cpp), and virtual-time
   /// accounting is untouched.
@@ -145,9 +150,19 @@ struct RunStats {
   size_t shed_calls = 0;  ///< subset of unavailable: shed by the scheduler
                           ///< (queue full / queue deadline / drain) and
                           ///< converted to §4 residuals
-  size_t vec_batches = 0;    ///< column batches produced by vec operators
+  /// Column batches the run handled: leaf replies, converted inputs
+  /// and vec operators' outputs.
+  size_t vec_batches = 0;
+  size_t vec_leaf_batches = 0;  ///< subset: arrived in a wrapper's reply
+  size_t vec_converted_batches = 0;  ///< subset: converted from row input
   size_t vec_rows = 0;       ///< rows that flowed through vec operators
-  size_t vec_fallbacks = 0;  ///< vec-eligible sites that fell back to rows
+  /// vec-eligible sites that fell back to rows: a reply whose columns
+  /// the rules declined, an input from_rows declined, an operator whose
+  /// expression did not compile.
+  size_t vec_fallbacks = 0;
+  /// Rows rebuilt as Values from columns: the answer's, and those of an
+  /// input a row-path operator (or the row path itself) needed.
+  size_t rows_rebuilt = 0;
   double elapsed_s = 0;  ///< virtual (or wall, in wall-clock mode) time
 
   /// Accumulation across runs (aux materialization, resubmissions).
@@ -161,8 +176,11 @@ struct RunStats {
     cache_coalesced += other.cache_coalesced;
     shed_calls += other.shed_calls;
     vec_batches += other.vec_batches;
+    vec_leaf_batches += other.vec_leaf_batches;
+    vec_converted_batches += other.vec_converted_batches;
     vec_rows += other.vec_rows;
     vec_fallbacks += other.vec_fallbacks;
+    rows_rebuilt += other.rows_rebuilt;
     elapsed_s += other.elapsed_s;
     return *this;
   }
@@ -187,9 +205,13 @@ class Runtime {
   /// With `reduce`, a complete answer is reduced to that aggregate's
   /// value: batch-wise when the answer is columnar, by the value rule
   /// over rows otherwise (the rule's errors propagate). An incomplete
-  /// answer keeps its partial bag, unreduced.
+  /// answer keeps its partial bag, unreduced. With `distinct`, the data
+  /// first collapses to its distinct items (a select distinct's branches
+  /// are each distinct, their union need not be), and an unreduced
+  /// answer is a set, as the evaluator's distinct answers are.
   RunResult run(const PhysicalPtr& plan,
-                std::optional<algebra::Reduction> reduce = std::nullopt);
+                std::optional<Aggregate> reduce = std::nullopt,
+                bool distinct = false);
 
  private:
   struct Outcome {
@@ -228,7 +250,10 @@ class Runtime {
   /// inputs.
   void ensure_batch(Outcome* out);
   /// The reduction of a complete outcome.
-  Value aggregate_outcome(Outcome* out, algebra::Reduction reduce);
+  Value aggregate_outcome(Outcome* out, Aggregate fn);
+  /// Collapses an outcome's data to its distinct items, in columns or
+  /// in rows (the same multiset either way).
+  void distinct_outcome(Outcome* out);
   /// Shared exec machinery: runs `remote` at `repository` through
   /// `wrapper_name`; on unavailability the residual is
   /// `logical_for_residual`. `origin` identifies the plan node for

@@ -37,6 +37,9 @@ struct Session {
   std::vector<Value> items;
   /// Residual queries still outstanding.
   std::vector<oql::ExprPtr> residuals;
+  /// The first run's answer was a partial select distinct: the merged
+  /// items collapse to distinct ones (Answer::distinct).
+  bool distinct = false;
   /// Set once the session completes; for answers that complete on the
   /// first run this preserves their exact shape (local-mode scalar
   /// results are not bags).
@@ -62,7 +65,8 @@ struct Session {
     if (rest.empty()) {
       return Answer::complete_answer(Value::bag(items), stats);
     }
-    return Answer::partial_answer(Value::bag(items), std::move(rest), stats);
+    return Answer::partial_answer(Value::bag(items), std::move(rest), stats,
+                                  distinct);
   }
 
   void accumulate(const QueryStats& run) {
@@ -380,6 +384,7 @@ bool ResubmissionManager::advance(
       done = true;
     } else {
       s.started = true;
+      if (initial) s.distinct = answer.distinct();
       const std::vector<Value>& fresh_rows = answer.data().items();
       // Batch-wise merge: one reallocation per resubmission round, not
       // one per row (rounds can carry thousands of recovered rows).
@@ -387,11 +392,15 @@ bool ResubmissionManager::advance(
       s.items.insert(s.items.end(), fresh_rows.begin(), fresh_rows.end());
       s.residuals = answer.residuals();
       if (s.residuals.empty()) {
-        if (s.items.size() == fresh_rows.size() && answer.complete()) {
+        if (s.items.size() == fresh_rows.size() && answer.complete() &&
+            !s.distinct) {
           s.final_answer = std::make_unique<Answer>(answer);
         } else {
-          s.final_answer = std::make_unique<Answer>(
-              Answer::complete_answer(Value::bag(s.items), s.stats));
+          // The residuals' answers may repeat each other's items, or the
+          // first run's.
+          s.final_answer = std::make_unique<Answer>(Answer::complete_answer(
+              s.distinct ? Value::set(s.items) : Value::bag(s.items),
+              s.stats));
         }
         done = true;
       }

@@ -291,18 +291,11 @@ uint64_t Value::hash() const {
   return h;
 }
 
-namespace {
-
-/// Heap bytes behind a std::string: zero while the text fits the
-/// small-string buffer (those bytes live inside the string object,
-/// which the caller already counts), capacity + 1 terminator once it
-/// spills. Counting capacity() unconditionally double-counted every
-/// short string.
 size_t string_heap_bytes(const std::string& s) {
+  // Counting capacity() unconditionally double-counted every short
+  // string.
   return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
 }
-
-}  // namespace
 
 size_t Value::deep_size() const {
   size_t bytes = sizeof(Value);

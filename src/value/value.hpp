@@ -135,6 +135,12 @@ class Value {
   Payload payload_;
 };
 
+/// Heap bytes behind a std::string, as deep_size counts them: zero
+/// while the text fits the small-string buffer (those bytes live inside
+/// the string object, which the caller already counts), capacity + 1
+/// terminator once it spills.
+size_t string_heap_bytes(const std::string& s);
+
 /// Convenience: bag of structs from parallel (names, rows) — used by data
 /// sources when reformatting answers for the mediator.
 Value make_row_bag(const std::vector<std::string>& field_names,

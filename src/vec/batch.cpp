@@ -178,6 +178,16 @@ void Column::reserve(size_t rows) {
   }
 }
 
+size_t Column::byte_size() const {
+  size_t bytes = sizeof(Column) + nulls_.size() * sizeof(uint64_t) +
+                 bools_.size() + ints_.size() * sizeof(int64_t) +
+                 doubles_.size() * sizeof(double);
+  for (const std::string& s : strings_) {
+    bytes += sizeof(std::string) + string_heap_bytes(s);
+  }
+  return bytes;
+}
+
 int Column::compare_cells(size_t row, const Column& other,
                           size_t other_row) const {
   const int ra = kind_rank(kind_at(row));
@@ -261,18 +271,28 @@ int Schema::index_of(std::string_view var, std::string_view name) const {
   return -1;
 }
 
+size_t byte_size(const Table& table) {
+  size_t bytes = sizeof(Table);
+  for (const Schema::Col& col : table.schema.columns) {
+    bytes += 2 * sizeof(std::string) + string_heap_bytes(col.var) +
+             string_heap_bytes(col.name);
+  }
+  for (const ColumnBatch& batch : table.batches) {
+    bytes += sizeof(ColumnBatch);
+    for (const std::shared_ptr<Column>& column : batch.columns) {
+      bytes += sizeof(std::shared_ptr<Column>) + column->byte_size();
+    }
+  }
+  return bytes;
+}
+
 size_t Table::rows() const {
   size_t n = 0;
   for (const ColumnBatch& batch : batches) n += batch.rows;
   return n;
 }
 
-namespace {
-
-/// Derives the common layout from the first row. nullopt when the row
-/// is not flat (nested collections, mixed struct/scalar fields, an env
-/// var with zero attributes).
-std::optional<Schema> schema_of(const Value& row) {
+std::optional<Schema> TableBuilder::schema_of(const Value& row) {
   Schema schema;
   if (row.is_scalar()) {
     schema.shape = RowShape::Scalar;
@@ -307,13 +327,44 @@ std::optional<Schema> schema_of(const Value& row) {
   return schema;
 }
 
-/// Appends one row's cells; false when the row does not match `schema`'s
-/// layout or a cell fights its column's settled type.
-bool append_row(const Schema& schema, const Value& row, ColumnBatch* batch) {
+TableBuilder::TableBuilder(Schema schema, size_t batch_rows,
+                           size_t expected_rows)
+    : batch_rows_(batch_rows), expected_rows_(expected_rows) {
+  internal_check(batch_rows > 0, "batch_rows must be positive");
+  table_.schema = std::move(schema);
+}
+
+ColumnBatch& TableBuilder::open() {
+  if (!open_.has_value()) {
+    const size_t reserve =
+        std::min(batch_rows_, expected_rows_ > rows_ ? expected_rows_ - rows_
+                                                     : size_t{0});
+    open_.emplace();
+    open_->columns.reserve(table_.schema.columns.size());
+    for (size_t i = 0; i < table_.schema.columns.size(); ++i) {
+      auto column = std::make_shared<Column>();
+      column->reserve(reserve);
+      open_->columns.push_back(std::move(column));
+    }
+  }
+  return *open_;
+}
+
+void TableBuilder::end_row() {
+  ColumnBatch& batch = open();
+  ++batch.rows;
+  ++rows_;
+  if (batch.rows == batch_rows_) {
+    table_.batches.push_back(std::move(batch));
+    open_.reset();
+  }
+}
+
+bool TableBuilder::append_row(const Value& row) {
+  const Schema& schema = table_.schema;
   switch (schema.shape) {
     case RowShape::Scalar:
-      if (!row.is_scalar()) return false;
-      if (!batch->columns[0]->append(row)) return false;
+      if (!row.is_scalar() || !append(0, row)) return false;
       break;
     case RowShape::Flat: {
       if (row.kind() != ValueKind::Struct) return false;
@@ -321,7 +372,7 @@ bool append_row(const Schema& schema, const Value& row, ColumnBatch* batch) {
       if (fields.size() != schema.columns.size()) return false;
       for (size_t i = 0; i < fields.size(); ++i) {
         if (fields[i].first != schema.columns[i].name) return false;
-        if (!batch->columns[i]->append(fields[i].second)) return false;
+        if (!append(i, fields[i].second)) return false;
       }
       break;
     }
@@ -336,7 +387,7 @@ bool append_row(const Schema& schema, const Value& row, ColumnBatch* batch) {
               schema.columns[col].name != attr) {
             return false;
           }
-          if (!batch->columns[col]->append(cell)) return false;
+          if (!append(col, cell)) return false;
           ++col;
         }
       }
@@ -344,40 +395,42 @@ bool append_row(const Schema& schema, const Value& row, ColumnBatch* batch) {
       break;
     }
   }
-  ++batch->rows;
+  end_row();
   return true;
 }
 
-ColumnBatch make_batch(const Schema& schema, size_t reserve_rows) {
-  ColumnBatch batch;
-  batch.columns.reserve(schema.columns.size());
-  for (size_t i = 0; i < schema.columns.size(); ++i) {
-    auto column = std::make_shared<Column>();
-    column->reserve(reserve_rows);
-    batch.columns.push_back(std::move(column));
-  }
-  return batch;
+std::vector<Value> TableBuilder::rows() const {
+  std::vector<Value> out;
+  out.reserve(rows_);
+  auto rebuild = [&](const ColumnBatch& batch) {
+    for (size_t row = 0; row < batch.rows; ++row) {
+      out.push_back(row_at(table_.schema, batch, row));
+    }
+  };
+  for (const ColumnBatch& batch : table_.batches) rebuild(batch);
+  if (open_.has_value()) rebuild(*open_);
+  return out;
 }
 
-}  // namespace
+Table TableBuilder::finish() && {
+  if (open_.has_value() && open_->rows > 0) {
+    table_.batches.push_back(std::move(*open_));
+  }
+  open_.reset();
+  return std::move(table_);
+}
 
 std::optional<Table> from_rows(const std::vector<Value>& rows,
                                size_t batch_rows) {
   internal_check(batch_rows > 0, "batch_rows must be positive");
-  Table table;
-  if (rows.empty()) return table;  // zero-column Flat layout, zero batches
-  std::optional<Schema> schema = schema_of(rows.front());
+  if (rows.empty()) return Table{};  // zero-column Flat layout, no batches
+  std::optional<Schema> schema = TableBuilder::schema_of(rows.front());
   if (!schema) return std::nullopt;
-  table.schema = std::move(*schema);
-  for (size_t i = 0; i < rows.size(); i += batch_rows) {
-    const size_t n = std::min(batch_rows, rows.size() - i);
-    ColumnBatch batch = make_batch(table.schema, n);
-    for (size_t j = 0; j < n; ++j) {
-      if (!append_row(table.schema, rows[i + j], &batch)) return std::nullopt;
-    }
-    table.batches.push_back(std::move(batch));
+  TableBuilder builder(*std::move(schema), batch_rows, rows.size());
+  for (const Value& row : rows) {
+    if (!builder.append_row(row)) return std::nullopt;
   }
-  return table;
+  return std::move(builder).finish();
 }
 
 Value row_at(const Schema& schema, const ColumnBatch& batch, size_t row) {

@@ -107,6 +107,8 @@ class Column {
   const std::vector<std::string>& strings() const { return strings_; }
 
   void reserve(size_t rows);
+  /// Footprint under byte_size(Table)'s rules.
+  size_t byte_size() const;
 
  private:
   bool settle(ColType type);
@@ -157,6 +159,58 @@ struct Table {
   std::vector<ColumnBatch> batches;
 
   size_t rows() const;
+};
+
+/// Approximate footprint in bytes, under Value::deep_size's rules: a
+/// string cell counts its object plus its heap buffer only when it
+/// spills the small-string buffer (string_heap_bytes). For cache
+/// budgets, not allocator accounting.
+size_t byte_size(const Table& table);
+
+/// Accumulates rows into a Table under the conversion rules of the
+/// header comment: the one place those rules live. from_rows feeds it
+/// whole rows; the wrappers' row builder (wrapper/rows.hpp) derives the
+/// schema from its first row and then appends cells straight from the
+/// source, so a reply never exists as rows at all. A false return means
+/// the rules decline: the caller abandons the builder, keeping rows()
+/// (the rows completed so far) and continuing on the row path.
+class TableBuilder {
+ public:
+  /// The layout `row` fixes for a table: nullopt when the row is not
+  /// flat (nested collections, mixed struct/scalar fields, an env var
+  /// with zero attributes).
+  static std::optional<Schema> schema_of(const Value& row);
+
+  /// Batches hold at most `batch_rows` rows; `expected_rows` (a hint)
+  /// sizes each batch's columns up front.
+  TableBuilder(Schema schema, size_t batch_rows, size_t expected_rows = 0);
+
+  const Schema& schema() const { return table_.schema; }
+
+  /// One whole row: false when it does not match the schema's layout or
+  /// a cell fights its column's type in the current batch.
+  bool append_row(const Value& row);
+  /// Cell-wise writers append column `col` of the current row (they keep
+  /// the layout themselves), then close the row with end_row(). False
+  /// when the cell is not a scalar or fights its column's type.
+  bool append(size_t col, const Value& cell) {
+    return open().columns[col]->append(cell);
+  }
+  void end_row();
+
+  /// The completed rows rebuilt as Values (a cell-wise row that declined
+  /// half-way is not among them).
+  std::vector<Value> rows() const;
+  Table finish() &&;
+
+ private:
+  ColumnBatch& open();
+
+  Table table_;
+  std::optional<ColumnBatch> open_;  ///< the batch being filled
+  size_t batch_rows_;
+  size_t expected_rows_;
+  size_t rows_ = 0;
 };
 
 /// Converts a bag's rows to columns, cut into batches of at most

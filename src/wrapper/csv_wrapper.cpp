@@ -38,12 +38,8 @@ SubmitResult CsvWrapper::submit(const catalog::Repository& repository,
   const csv::CsvTable& table = table_it->second;
   RowBuilder rows = RowBuilder::env();
   rows.add_columns(expr->var, *binding.map, table.columns);
-  std::vector<Value> items;
-  items.reserve(table.rows.size());
-  for (const std::vector<Value>& row : table.rows) {
-    items.push_back(rows.from_values(row));
-  }
-  return SubmitResult::ok(Value::bag(std::move(items)));
+  for (const std::vector<Value>& row : table.rows) rows.append(row);
+  return rows.finish();
 }
 
 }  // namespace disco::wrapper

@@ -24,6 +24,9 @@ class CsvWrapper : public Wrapper {
                       const algebra::LogicalPtr& expr,
                       const BindingMap& bindings) override;
   std::string kind() const override { return "csv"; }
+  bool replies_in_columns(const algebra::LogicalPtr&) const override {
+    return true;
+  }
 
  private:
   grammar::Grammar grammar_;

@@ -177,18 +177,27 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
     }
     env.add_columns(get_node.var, *binding.map, sources);
   }
-  auto env_row = [&](const Value& doc) {
-    if (row_paths.empty()) return env.from_struct(doc);
+  auto source_values = [&](const Value& doc) {
     std::vector<Value> values;
     values.reserve(row_paths.size());
     for (const DocPath& path : row_paths) values.push_back(path.eval(doc));
-    return env.from_values(std::move(values));
+    return values;
+  };
+  auto env_row = [&](const Value& doc) {
+    return row_paths.empty() ? env.from_struct(doc)
+                             : env.from_values(source_values(doc));
   };
 
-  std::vector<Value> items;
-  items.reserve(candidates.size());
+  SubmitResult out;
   if (projection == nullptr) {
-    for (const Value* doc : candidates) items.push_back(env_row(*doc));
+    for (const Value* doc : candidates) {
+      if (row_paths.empty()) {
+        env.append_struct(*doc);
+      } else {
+        env.append(source_values(*doc));
+      }
+    }
+    out = env.finish();
   } else {
     // The projection runs over the env row — plain field descent with
     // the mediator's own lenient rules, so pushed projections agree with
@@ -235,11 +244,10 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
       std::vector<Value> values;
       values.reserve(outputs.size());
       for (const DocPath& path : outputs) values.push_back(path.eval(row));
-      items.push_back(rows.from_values(std::move(values)));
+      rows.append(values);
     }
+    out = rows.finish();
   }
-
-  SubmitResult out = SubmitResult::ok(Value::bag(std::move(items)));
   out.compute_s = cost_model_.seconds(docs_examined, index_probes);
   return out;
 }

@@ -47,6 +47,9 @@ class DocWrapper : public Wrapper {
                       const algebra::LogicalPtr& expr,
                       const BindingMap& bindings) override;
   std::string kind() const override { return "docstore"; }
+  bool replies_in_columns(const algebra::LogicalPtr&) const override {
+    return true;
+  }
   /// Attached stores' access-path counters as docstore.* gauges.
   std::vector<std::pair<std::string, uint64_t>> stat_gauges() const override;
 

@@ -105,10 +105,8 @@ SubmitResult KvWrapper::submit(const catalog::Repository& repository,
 
   RowBuilder env = RowBuilder::env();
   env.add_struct(get_node->var, *binding.map);
-  std::vector<Value> items;
-  items.reserve(rows.size());
-  for (const Value& row : rows) items.push_back(env.from_struct(row));
-  return SubmitResult::ok(Value::bag(std::move(items)));
+  for (const Value& row : rows) env.append_struct(row);
+  return env.finish();
 }
 
 }  // namespace disco::wrapper

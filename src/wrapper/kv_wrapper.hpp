@@ -30,6 +30,9 @@ class KvWrapper : public Wrapper {
                       const algebra::LogicalPtr& expr,
                       const BindingMap& bindings) override;
   std::string kind() const override { return "kvstore"; }
+  bool replies_in_columns(const algebra::LogicalPtr&) const override {
+    return true;
+  }
 
  private:
   grammar::Grammar grammar_;

@@ -298,12 +298,8 @@ SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
       rows.add_columns(var, *binding_of(bindings, extent).map, columns);
     }
   }
-  std::vector<Value> items;
-  items.reserve(rs.rows.size());
-  for (memdb::Row& row : rs.rows) {
-    items.push_back(rows.from_values(std::move(row)));
-  }
-  SubmitResult out = SubmitResult::ok(Value::bag(std::move(items)));
+  for (const memdb::Row& row : rs.rows) rows.append(row);
+  SubmitResult out = rows.finish();
   out.compute_s = cost_model_.seconds(q.rows_scanned, q.index_probes);
   return out;
 }

@@ -51,6 +51,9 @@ class MemDbWrapper : public Wrapper {
                       const algebra::LogicalPtr& expr,
                       const BindingMap& bindings) override;
   std::string kind() const override { return "minisql"; }
+  bool replies_in_columns(const algebra::LogicalPtr&) const override {
+    return true;
+  }
   /// stats() as memdb.* gauges for Mediator::obs_snapshot().
   std::vector<std::pair<std::string, uint64_t>> stat_gauges() const override;
 

@@ -62,16 +62,15 @@ RowBuilder& RowBuilder::add_struct(const std::string& var,
   return *this;
 }
 
-template <typename Take>
-Value RowBuilder::build(Take take) const {
+Value RowBuilder::from_values(const std::vector<Value>& values) const {
   switch (kind_) {
     case Kind::Scalar:
-      return take(0);
+      return values[0];
     case Kind::Struct: {
       std::vector<std::pair<std::string, Value>> fields;
       fields.reserve(fields_.size());
       for (size_t i = 0; i < fields_.size(); ++i) {
-        fields.emplace_back(fields_[i], take(i));
+        fields.emplace_back(fields_[i], values[i]);
       }
       return Value::strct(std::move(fields));
     }
@@ -85,19 +84,11 @@ Value RowBuilder::build(Take take) const {
     std::vector<std::pair<std::string, Value>> fields;
     fields.reserve(var.columns.size());
     for (const auto& [position, mediator] : var.columns) {
-      fields.emplace_back(mediator, take(position));
+      fields.emplace_back(mediator, values[position]);
     }
     env.emplace_back(var.name, Value::strct(std::move(fields)));
   }
   return Value::strct(std::move(env));
-}
-
-Value RowBuilder::from_values(std::vector<Value>&& values) const {
-  return build([&values](size_t i) { return std::move(values[i]); });
-}
-
-Value RowBuilder::from_values(const std::vector<Value>& values) const {
-  return build([&values](size_t i) { return values[i]; });
 }
 
 Value RowBuilder::from_struct(const Value& source_row) {
@@ -125,23 +116,28 @@ Value RowBuilder::from_env(const Value& source_env) {
   return Value::strct(std::move(env));
 }
 
-Value RowBuilder::Var::rename(const Value& source_row) {
-  if (map->fields().empty()) return source_row;
-  const auto& fields = source_row.fields();
+bool RowBuilder::Var::resolve(
+    const std::vector<std::pair<std::string, Value>>& fields) {
   bool same_layout = fields.size() == layout_source.size();
   for (size_t i = 0; same_layout && i < fields.size(); ++i) {
     same_layout = fields[i].first == layout_source[i];
   }
-  if (!same_layout) {
-    layout_source.clear();
-    layout_mediator.clear();
-    layout_renames = false;
-    for (const auto& [source, value] : fields) {
-      layout_source.push_back(source);
-      layout_mediator.push_back(map->to_mediator_attribute(source));
-      layout_renames = layout_renames || layout_mediator.back() != source;
-    }
+  if (same_layout) return false;
+  layout_source.clear();
+  layout_mediator.clear();
+  layout_renames = false;
+  for (const auto& [source, value] : fields) {
+    layout_source.push_back(source);
+    layout_mediator.push_back(map->to_mediator_attribute(source));
+    layout_renames = layout_renames || layout_mediator.back() != source;
   }
+  return true;
+}
+
+Value RowBuilder::Var::rename(const Value& source_row) {
+  if (map->fields().empty()) return source_row;
+  const auto& fields = source_row.fields();
+  resolve(fields);
   if (!layout_renames) return source_row;
   std::vector<std::pair<std::string, Value>> renamed;
   renamed.reserve(fields.size());
@@ -149,6 +145,129 @@ Value RowBuilder::Var::rename(const Value& source_row) {
     renamed.emplace_back(layout_mediator[i], fields[i].second);
   }
   return Value::strct(std::move(renamed));
+}
+
+// ------------------------------------------------------- columnar reply ---
+
+bool RowBuilder::start(const Value& first) {
+  std::optional<vec::Schema> schema = vec::TableBuilder::schema_of(first);
+  const vec::RowShape shape = kind_ == Kind::Scalar   ? vec::RowShape::Scalar
+                              : kind_ == Kind::Struct ? vec::RowShape::Flat
+                                                      : vec::RowShape::Env;
+  // A struct projection whose first field is a struct reads as env rows
+  // to the rules; the cell-wise writers below only know their own shape.
+  if (!schema.has_value() || schema->shape != shape) return false;
+  size_t col = 0;
+  for (size_t i = 0; i < vars_.size(); ++i) {
+    Var& var = vars_[i];
+    var.first_col = col;
+    var.width = var.is_struct ? first.fields()[i].second.size()
+                              : var.columns.size();
+    col += var.width;
+  }
+  table_.emplace(*std::move(schema), vec::VecOptions{}.batch_rows);
+  internal_check(table_->append_row(first),
+                 "a row declined the layout it defined");
+  return true;
+}
+
+bool RowBuilder::append_struct_cells(Var& var, const Value& source_row) {
+  if (source_row.kind() != ValueKind::Struct) return false;
+  const auto& fields = source_row.fields();
+  if (fields.size() != var.width) return false;
+  if (var.resolve(fields)) {
+    // A new source layout: its mediator names must still be the
+    // schema's, in order.
+    const std::vector<vec::Schema::Col>& columns = table_->schema().columns;
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (columns[var.first_col + i].name != var.layout_mediator[i]) {
+        return false;
+      }
+    }
+  }
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (!table_->append(var.first_col + i, fields[i].second)) return false;
+  }
+  return true;
+}
+
+template <typename Cells, typename Row>
+void RowBuilder::add(Cells cells, Row row) {
+  if (table_.has_value()) {
+    if (cells()) {
+      table_->end_row();
+      return;
+    }
+    // Declined: the rows so far leave the table, and this row and every
+    // later one are built as Values.
+    rows_ = table_->rows();
+    table_.reset();
+    declined_ = true;
+  } else if (!declined_) {
+    Value first = row();
+    if (start(first)) return;
+    declined_ = true;
+    rows_.push_back(std::move(first));
+    return;
+  }
+  rows_.push_back(row());
+}
+
+void RowBuilder::append(const std::vector<Value>& values) {
+  add(
+      [&] {
+        switch (kind_) {
+          case Kind::Scalar:
+            return table_->append(0, values[0]);
+          case Kind::Struct:
+            for (size_t i = 0; i < fields_.size(); ++i) {
+              if (!table_->append(i, values[i])) return false;
+            }
+            return true;
+          case Kind::Env:
+            break;
+        }
+        size_t col = 0;
+        for (const Var& var : vars_) {
+          for (const auto& [position, mediator] : var.columns) {
+            if (!table_->append(col++, values[position])) return false;
+          }
+        }
+        return true;
+      },
+      [&] { return from_values(values); });
+}
+
+void RowBuilder::append_struct(const Value& source_row) {
+  internal_check(kind_ == Kind::Env && vars_.size() == 1 &&
+                     vars_.front().is_struct,
+                 "append_struct needs one struct variable");
+  add([&] { return append_struct_cells(vars_.front(), source_row); },
+      [&] { return from_struct(source_row); });
+}
+
+void RowBuilder::append_env(const Value& source_env) {
+  add(
+      [&] {
+        for (Var& var : vars_) {
+          const Value* row = source_env.find_field(var.name);
+          if (row == nullptr || !append_struct_cells(var, *row)) return false;
+        }
+        return true;
+      },
+      [&] { return from_env(source_env); });
+}
+
+SubmitResult RowBuilder::finish() {
+  if (declined_) {
+    SubmitResult out = SubmitResult::ok(Value::bag(std::move(rows_)));
+    out.columns_declined = true;
+    return out;
+  }
+  if (!table_.has_value()) return SubmitResult::ok(vec::Table{});
+  vec::Table table = std::move(*table_).finish();
+  table_.reset();
+  return SubmitResult::ok(std::move(table));
 }
 
 // ------------------------------------------------------ path equalities ---

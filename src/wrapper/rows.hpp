@@ -4,14 +4,23 @@
 //
 // "The wrapper applies the type maps in both directions and reformats the
 // source's answer." Every wrapper hands its source values to a RowBuilder
-// set up once per submit; the builder owns the row formats of the
-// wrapper.hpp data-shape contract:
+// set up once per submit, one source row at a time, and takes the reply
+// from finish(). The builder owns the row formats of the wrapper.hpp
+// data-shape contract:
 //   * env rows        struct(var: struct(attr: ...), ...), attributes in
 //                     mediator names (each source column is resolved
 //                     through its extent's TypeMap once per submit, not
 //                     once per row);
 //   * scalar rows     the projected value itself;
 //   * struct rows     struct(f: ...) for a pushed struct(...) projection.
+//
+// It writes them in columns: the schema comes from the first row and
+// every later row appends its cells straight to a vec::TableBuilder, so
+// a shipped row is never built as a Value. The first cell the columnar
+// rules decline (a nested value, a type fight inside a batch, a struct
+// variable whose layout changes, a variable with no attributes) turns
+// the reply into rows, exactly where vec::from_rows would have declined
+// the same rows, and the builder goes on building rows.
 //
 // The module also holds the rest of what every wrapper shares at the
 // boundary: the binding lookup, the `var.path = literal` conjunction
@@ -27,6 +36,7 @@
 #include "catalog/type_map.hpp"
 #include "oql/ast.hpp"
 #include "value/value.hpp"
+#include "vec/batch.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace disco::wrapper {
@@ -61,17 +71,28 @@ class RowBuilder {
   /// unchanged.
   RowBuilder& add_struct(const std::string& var, const catalog::TypeMap& map);
 
-  /// One mediator row from one positional source row; the rvalue
-  /// overload moves the values out.
-  Value from_values(std::vector<Value>&& values) const;
-  Value from_values(const std::vector<Value>& values) const;
-  /// One env row from the source struct of a single add_struct()
+  /// Appends the mediator row of one positional source row.
+  void append(const std::vector<Value>& values);
+  /// Appends the env row of the source struct of a single add_struct()
   /// variable.
+  void append_struct(const Value& source_row);
+  /// Appends the env row of an env row in source names (a remote
+  /// mediator's struct(var: row, ...)): each add_struct() variable's row
+  /// is read by name and renamed.
+  void append_env(const Value& source_env);
+
+  /// The reply to the rows appended so far: Ok with the rows in columns,
+  /// or as a bag with columns_declined set when the rules declined. The
+  /// builder is spent.
+  SubmitResult finish();
+
+  /// One mediator row as a Value, not appended: what append(values)
+  /// would add. (The doc wrapper evaluates pushed projections over its
+  /// env rows.)
+  Value from_values(const std::vector<Value>& values) const;
+  /// One env row as a Value from the source struct of a single
+  /// add_struct() variable, not appended.
   Value from_struct(const Value& source_row);
-  /// One env row from an env row in source names (a remote mediator's
-  /// struct(var: row, ...)): each add_struct() variable's row is read by
-  /// name and renamed.
-  Value from_env(const Value& source_env);
 
   bool is_env() const { return kind_ == Kind::Env; }
 
@@ -89,18 +110,37 @@ class RowBuilder {
     std::vector<std::string> layout_source;
     std::vector<std::string> layout_mediator;
     bool layout_renames = false;
+    /// Columnar replies: this variable's columns in the schema.
+    size_t first_col = 0;
+    size_t width = 0;
 
+    /// Re-resolves the mediator names when `fields`' layout differs
+    /// from the last one seen; true when it had to.
+    bool resolve(const std::vector<std::pair<std::string, Value>>& fields);
     Value rename(const Value& source_row);
   };
 
   explicit RowBuilder(Kind kind) : kind_(kind) {}
 
-  template <typename Take>
-  Value build(Take take) const;
+  Value from_env(const Value& source_env);
+  /// Appends a struct variable's cells, renamed; false when the row
+  /// breaks the schema's layout or a cell the column rules.
+  bool append_struct_cells(Var& var, const Value& source_row);
+  /// The one append path: `cells` writes the row's cells to the table,
+  /// `row` builds it as a Value (the first row, and every row once the
+  /// columnar rules declined).
+  template <typename Cells, typename Row>
+  void add(Cells cells, Row row);
+  /// Starts the table from the first row; false when its layout is not
+  /// one a table holds.
+  bool start(const Value& first);
 
   Kind kind_;
   std::vector<Var> vars_;
   std::vector<std::string> fields_;  ///< Kind::Struct
+  std::optional<vec::TableBuilder> table_;  ///< while columnar
+  std::vector<Value> rows_;                 ///< once declined
+  bool declined_ = false;
 };
 
 /// One `var.a.b... = literal` conjunct of a pushed selection.

@@ -2,6 +2,10 @@
 
 namespace disco::wrapper {
 
+Value SubmitResult::bag() const {
+  return table.has_value() ? Value::bag(vec::to_rows(*table)) : data;
+}
+
 BindingMap bindings_for(const algebra::LogicalPtr& expr,
                         const catalog::Catalog& catalog) {
   BindingMap out;

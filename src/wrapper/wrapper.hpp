@@ -16,12 +16,18 @@
 //     top) return a bag of environment structs: struct(x: <row>) or
 //     struct(x: <row>, y: <row>) with *mediator* attribute names inside;
 //   * project-topped expressions return the bag of projected values.
+// A reply carries that bag in one of two forms: as a vec::Table whose
+// to_rows() are the rows (what every built-in wrapper sends, through
+// wrapper/rows.hpp, whenever the rows fit the columnar rules of
+// vec/batch.hpp), or as the bag itself. Callers that need the rows
+// whatever the form call SubmitResult::bag().
 //
 // Availability is NOT the wrapper's concern: the runtime consults the
 // network simulation before calling submit(); a wrapper is only ever
 // invoked for a reachable repository.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -32,6 +38,7 @@
 #include "catalog/type_map.hpp"
 #include "grammar/capability.hpp"
 #include "value/value.hpp"
+#include "vec/batch.hpp"
 
 namespace disco::wrapper {
 
@@ -50,7 +57,14 @@ struct SubmitResult {
     Refused,  ///< expression outside this wrapper's functionality
   };
   Status status = Status::Ok;
-  Value data;          ///< when Ok
+  /// When Ok and `table` is empty: the reply's rows, a bag.
+  Value data;
+  /// When Ok: the reply's rows in columns (see the data-shape contract);
+  /// `data` is then null.
+  std::optional<vec::Table> table;
+  /// The wrapper built columns and the rules declined them part-way (a
+  /// nested value, a type fight, a layout change): `data` holds rows.
+  bool columns_declined = false;
   std::string detail;  ///< when Refused: why
   /// Source-side compute time in simulated seconds. The network model
   /// prices only bytes on the wire; a wrapper that knows how much work
@@ -61,11 +75,28 @@ struct SubmitResult {
   /// pure-transfer behaviour.
   double compute_s = 0;
 
+  /// Rows in the reply, in either form.
+  size_t rows() const {
+    return table.has_value() ? table->rows() : data.size();
+  }
+  /// The reply as a bag, rebuilding the rows of a table.
+  Value bag() const;
+
   static SubmitResult ok(Value data) {
-    return SubmitResult{Status::Ok, std::move(data), ""};
+    SubmitResult out;
+    out.data = std::move(data);
+    return out;
+  }
+  static SubmitResult ok(vec::Table table) {
+    SubmitResult out;
+    out.table = std::move(table);
+    return out;
   }
   static SubmitResult refused(std::string detail) {
-    return SubmitResult{Status::Refused, Value(), std::move(detail)};
+    SubmitResult out;
+    out.status = Status::Refused;
+    out.detail = std::move(detail);
+    return out;
   }
 };
 
@@ -85,6 +116,15 @@ class Wrapper {
 
   /// Short human-readable kind ("minisql", "csv", "mediator").
   virtual std::string kind() const = 0;
+
+  /// True when submit(expr) replies in columns whenever its rows fit the
+  /// columnar rules (the built-in wrappers build replies through
+  /// wrapper/rows.hpp). Explain's static vec walk reads it. Default: the
+  /// reply is a bag of rows.
+  virtual bool replies_in_columns(const algebra::LogicalPtr& expr) const {
+    (void)expr;
+    return false;
+  }
 
   /// Source-side observability gauges, already namespaced by source kind
   /// (e.g. "memdb.rows_scanned"). Mediator::obs_snapshot() sums these

@@ -23,6 +23,7 @@
 #include "oql/parser.hpp"
 #include "sources/csv/csv_source.hpp"
 #include "sources/kvstore/kv_store.hpp"
+#include "vec/batch.hpp"
 
 namespace disco {
 namespace {
@@ -44,6 +45,19 @@ CachedResult rows(std::vector<int64_t> values) {
   return result;
 }
 
+/// A scalar string table of `values`, as a wrapper would reply.
+vec::Table strings_table(const std::vector<std::string>& values) {
+  std::vector<Value> items;
+  for (const std::string& v : values) items.push_back(Value::string(v));
+  return *vec::from_rows(items, vec::VecOptions{}.batch_rows);
+}
+
+CachedResult table_reply(const std::vector<std::string>& values) {
+  CachedResult result;
+  result.table = strings_table(values);
+  return result;
+}
+
 // --------------------------------------------------------- deep_size ---
 
 TEST(DeepSizeTest, AccountsPayloadsRecursively) {
@@ -55,6 +69,124 @@ TEST(DeepSizeTest, AccountsPayloadsRecursively) {
             Value::integer(1).deep_size() + Value::string(big).deep_size());
   Value record = Value::strct({{"name", Value::string(big)}});
   EXPECT_GE(record.deep_size(), sizeof(Value) + 4 + 256);
+}
+
+// ------------------------------------------------------ table replies ---
+
+// Strings count alike in rows and in columns: the object, plus the heap
+// buffer only once the text spills the small-string buffer.
+TEST(ResultCacheTest, TableByteSizeAgreesWithDeepSizeForStrings) {
+  const std::vector<std::string> short_texts(50, "ab");
+  const std::vector<std::string> long_texts(50, std::string(200, 'x'));
+  auto deep = [](const std::vector<std::string>& texts) {
+    size_t bytes = 0;
+    for (const std::string& t : texts) bytes += Value::string(t).deep_size();
+    return bytes;
+  };
+  const size_t table_growth = vec::byte_size(strings_table(long_texts)) -
+                              vec::byte_size(strings_table(short_texts));
+  EXPECT_EQ(table_growth, deep(long_texts) - deep(short_texts));
+  EXPECT_GE(table_growth, 50u * 200u);
+}
+
+// A table reply is stored as it arrived: a hit and a coalesced waiter
+// share its columns (nothing is rebuilt), and its bytes are the table's.
+TEST(ResultCacheTest, TableRepliesAreSharedAsTheyArrived) {
+  ResultCache cache(CacheOptions{.enabled = true});
+  algebra::LogicalPtr remote = algebra::get("a", "x");
+  Lookup lead = cache.get_or_begin("r0", remote);
+  ASSERT_EQ(lead.kind, Kind::Lead);
+  std::shared_ptr<const CachedResult> waited;
+  Kind waiter_kind = Kind::Lead;
+  std::thread waiter([&] {
+    Lookup lookup = cache.get_or_begin("r0", remote);
+    waiter_kind = lookup.kind;
+    waited = lookup.result;
+  });
+  CachedResult reply = table_reply({"p", "q", std::string(64, 'r')});
+  const vec::Table published = *reply.table;
+  cache.publish(lead.ticket, std::move(reply));
+  waiter.join();
+  EXPECT_NE(waiter_kind, Kind::Lead);
+
+  Lookup hit = cache.get_or_begin("r0", remote);
+  ASSERT_EQ(hit.kind, Kind::Hit);
+  for (const auto& result : {hit.result, waited}) {
+    ASSERT_TRUE(result->table.has_value());
+    EXPECT_TRUE(result->data.is_null());
+    EXPECT_EQ(result->table->batches[0].columns[0],
+              published.batches[0].columns[0]);
+    EXPECT_EQ(vec::to_rows(*result->table), vec::to_rows(published));
+  }
+  EXPECT_EQ(cache.stats().bytes, ResultCache::make_key("r0", remote).size() +
+                                     Value().deep_size() +
+                                     vec::byte_size(published) + 128);
+}
+
+TEST(ResultCacheTest, LruEvictsTableEntriesUnderByteBudget) {
+  const std::vector<std::string> texts(100, std::string(40, 't'));
+  const size_t entry_bytes = vec::byte_size(strings_table(texts)) + 256;
+  ResultCache cache(
+      CacheOptions{.enabled = true, .max_bytes = 2 * entry_bytes});
+  algebra::LogicalPtr a = algebra::get("a", "x");
+  algebra::LogicalPtr b = algebra::get("b", "x");
+  algebra::LogicalPtr c = algebra::get("c", "x");
+  Lookup la = cache.get_or_begin("r0", a);
+  cache.publish(la.ticket, table_reply(texts));
+  Lookup lb = cache.get_or_begin("r0", b);
+  cache.publish(lb.ticket, table_reply(texts));
+  ASSERT_EQ(cache.stats().entries, 2u);
+  // Touch a so b becomes the LRU victim when c lands.
+  EXPECT_EQ(cache.get_or_begin("r0", a).kind, Kind::Hit);
+  Lookup lc = cache.get_or_begin("r0", c);
+  cache.publish(lc.ticket, table_reply(texts));
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.get_or_begin("r0", a).kind, Kind::Hit);
+  EXPECT_EQ(cache.get_or_begin("r0", b).kind, Kind::Lead);
+}
+
+// Through the mediator: a warm query over csv and kv replies is served
+// from the cached tables, whose rows are rebuilt only at the answer.
+TEST(MediatorCacheTest, CachedColumnarRepliesAnswerBagEqual) {
+  Mediator::Options options;
+  options.cache.enabled = true;
+  Mediator mediator(options);
+  mediator.execute_odl(R"(
+    interface Person (extent person) {
+      attribute Long id;
+      attribute String name; };
+  )");
+  std::string text = "id,name\n";
+  kvstore::KvStore kv("kv");
+  kvstore::KvCollection& people = kv.create_collection("person1", "id");
+  for (int r = 0; r < 30; ++r) {
+    text += std::to_string(r) + ",c" + std::to_string(r) + "\n";
+    people.put(Value::strct({{"id", Value::integer(r)},
+                             {"name", Value::string("k" + std::to_string(r))}}));
+  }
+  auto csv_wrapper = std::make_shared<wrapper::CsvWrapper>();
+  csv_wrapper->attach_table("rc", csv::parse_csv("person0", text));
+  auto kv_wrapper = std::make_shared<wrapper::KvWrapper>();
+  kv_wrapper->attach_store("rk", &kv);
+  mediator.register_wrapper("wc", std::move(csv_wrapper));
+  mediator.register_wrapper("wk", std::move(kv_wrapper));
+  mediator.register_repository(catalog::Repository{"rc", "", "", ""});
+  mediator.register_repository(catalog::Repository{"rk", "", "", ""});
+  mediator.execute_odl(R"(
+    extent person0 of Person wrapper wc repository rc;
+    extent person1 of Person wrapper wk repository rk;
+  )");
+  const std::string query = "select x.name from x in person where x.id < 9";
+  Answer cold = mediator.query(query);
+  Answer warm = mediator.query(query);
+  ASSERT_TRUE(cold.complete());
+  ASSERT_TRUE(warm.complete());
+  EXPECT_EQ(warm.data(), cold.data());
+  EXPECT_EQ(warm.data().size(), 18u);
+  EXPECT_EQ(warm.stats().run.cache_hits, 2u);
+  EXPECT_EQ(warm.stats().run.vec_leaf_batches, 2u);
+  EXPECT_EQ(warm.stats().run.rows_rebuilt, 18u);
 }
 
 // ------------------------------------------------------- basic lookup ---

@@ -291,8 +291,8 @@ class DocWrapperTest : public ::testing::Test {
 TEST_F(DocWrapperTest, GetReturnsWholeDocumentsAsEnvRows) {
   wrapper::SubmitResult r = submit(get("readingsd", "x"));
   ASSERT_EQ(r.status, wrapper::SubmitResult::Status::Ok);
-  ASSERT_EQ(r.data.size(), 4u);
-  const Value& row = r.data.items()[0].field("x");
+  ASSERT_EQ(r.bag().size(), 4u);
+  const Value row = r.bag().items()[0].field("x");
   EXPECT_EQ(row.field("id"), Value::integer(1));
   EXPECT_EQ(DocPath::parse("meta.site").eval(row), Value::string("river"));
 }
@@ -301,7 +301,7 @@ TEST_F(DocWrapperTest, PathEqualityUsesTheIndex) {
   wrapper::SubmitResult r = submit(
       filter(get("readingsd", "x"), parse("x.meta.site = \"river\"")));
   ASSERT_EQ(r.status, wrapper::SubmitResult::Status::Ok);
-  EXPECT_EQ(r.data.size(), 2u);
+  EXPECT_EQ(r.bag().size(), 2u);
   EXPECT_EQ(store_.stats().index_probes, 1u);
   EXPECT_EQ(store_.stats().scans, 0u);
 }
@@ -315,9 +315,9 @@ TEST_F(DocWrapperTest, NilProbeFindsDocumentsMissingTheField) {
   store_.set_use_indexes(false);
   wrapper::SubmitResult scanned = submit(expr);
   store_.set_use_indexes(true);
-  EXPECT_EQ(indexed.data, scanned.data);
-  ASSERT_EQ(indexed.data.size(), 1u);
-  EXPECT_EQ(indexed.data.items()[0].field("x").field("id"),
+  EXPECT_EQ(indexed.bag(), scanned.bag());
+  ASSERT_EQ(indexed.bag().size(), 1u);
+  EXPECT_EQ(indexed.bag().items()[0].field("x").field("id"),
             Value::integer(3));
 }
 
@@ -326,11 +326,11 @@ TEST_F(DocWrapperTest, ProjectionFlattensPaths) {
       project(filter(get("readingsd", "x"), parse("x.meta.site = \"lake\"")),
               parse("struct(i: x.id, d: x.meta.depth)"), false));
   ASSERT_EQ(r.status, wrapper::SubmitResult::Status::Ok);
-  ASSERT_EQ(r.data.size(), 1u);
-  EXPECT_EQ(r.data.items()[0].field("i"), Value::integer(2));
+  ASSERT_EQ(r.bag().size(), 1u);
+  EXPECT_EQ(r.bag().items()[0].field("i"), Value::integer(2));
   // meta.depth missing on doc 2 -> nil, exactly as the mediator would
   // evaluate it.
-  EXPECT_TRUE(r.data.items()[0].field("d").is_null());
+  EXPECT_TRUE(r.bag().items()[0].field("d").is_null());
 }
 
 TEST_F(DocWrapperTest, MapFlattensThroughPathsIncludingWildcards) {
@@ -341,8 +341,8 @@ TEST_F(DocWrapperTest, MapFlattensThroughPathsIncludingWildcards) {
   wrapper::SubmitResult r = submit(
       filter(get("readingsflat", "x"), parse("x.site = \"river\"")));
   ASSERT_EQ(r.status, wrapper::SubmitResult::Status::Ok);
-  ASSERT_EQ(r.data.size(), 2u);
-  const Value& row = r.data.items()[0].field("x");
+  ASSERT_EQ(r.bag().size(), 2u);
+  const Value row = r.bag().items()[0].field("x");
   EXPECT_EQ(row.field("site"), Value::string("river"));
   EXPECT_EQ(row.field("phs"),
             Value::list({Value::real(7.1), Value::real(6.8)}));

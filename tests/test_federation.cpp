@@ -2,6 +2,10 @@
 // data through an upstream mediator via fedcat::MediatorSource.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "fedcat/mediator_source.hpp"
 #include "fixtures.hpp"
@@ -49,6 +53,29 @@ TEST(FederationTest, PushedExpressionIsReconstructedOql) {
   // staff->person (the upstream implicit extent).
   EXPECT_EQ(fed.mediator_source->last_oql(),
             "select x.name from x in person where x.salary > 10");
+}
+
+TEST(FederationTest, ExplainTellsRowRepliesFromColumnarOnes) {
+  // A mediator source renames env rows in columns, but a pushed
+  // projection's values pass through as the remote's rows: explain says
+  // which, and the run agrees.
+  Federation fed;
+  const std::string pushed = "select x.ename from x in staff";
+  const std::string env = "select x from x in staff";
+  const auto lists = [&](const std::string& query, const std::string& op) {
+    const std::vector<std::string> ops =
+        fed.downstream.explain_report(query).vec_ops;
+    return std::find(ops.begin(), ops.end(), op) != ops.end();
+  };
+  EXPECT_TRUE(lists(pushed, "exec mr -> row reply"));
+  EXPECT_TRUE(lists(env, "exec mr -> vec (columnar reply)"));
+
+  Answer rows = fed.downstream.query(pushed);
+  ASSERT_TRUE(rows.complete());
+  EXPECT_EQ(rows.stats().run.vec_leaf_batches, 0u);
+  Answer columns = fed.downstream.query(env);
+  ASSERT_TRUE(columns.complete());
+  EXPECT_EQ(columns.stats().run.vec_leaf_batches, 1u);
 }
 
 TEST(FederationTest, ImplicitExtentOnTheDownstreamSide) {

@@ -2,6 +2,10 @@
 // ODL + OQL against memdb sources over the simulated network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
 #include "common/error.hpp"
 #include "fixtures.hpp"
 #include "oql/eval.hpp"
@@ -556,6 +560,194 @@ TEST(MediatorTest, VirtualTimeAccumulatesAcrossQueries) {
   EXPECT_GT(after_first, 0.0);
   world.mediator.query("select x.name from x in person");
   EXPECT_GT(world.mediator.clock().now(), after_first);
+}
+
+
+// Salary 200 sits in person0 and in person1: each branch of a select
+// distinct is distinct on its own, their union is not. The complete
+// answer, the partial answer resubmitted as text, and a session that
+// re-runs the residual and merges it all hold the evaluator's set of
+// items, once each, with vec on and off.
+TEST(MediatorTest, SelectDistinctCollapsesTheWholeAnswer) {
+  // person1 repeats a salary of its own and one of person0's. Every
+  // query is planned, and each answer -- complete, partial resubmitted
+  // as text, session-merged -- is the evaluator's set, kind included.
+  // The residual of distinct(<collection>) is the bare collection, so
+  // its lone-residual partial answer must still print inside distinct.
+  Mediator::Options row_path;
+  row_path.vec.enabled = false;
+  for (const char* query : {"select distinct x.salary from x in person",
+                            "distinct(select x.salary from x in person1)",
+                            "distinct(select x.salary from x in person)",
+                            "distinct(person)"}) {
+    for (const Mediator::Options& options : {Mediator::Options{}, row_path}) {
+      SCOPED_TRACE(std::string(query) +
+                   (options.vec.enabled ? " / vec" : " / row path"));
+      PaperWorld world(options);
+      world.db1.table("person1").insert(
+          {Value::integer(4), Value::string("Bob"), Value::integer(200)});
+      world.db1.table("person1").insert(
+          {Value::integer(5), Value::string("Ann"), Value::integer(50)});
+      const std::string expected = evaluated(world, query);
+      if (std::string(query) != "distinct(person)") {
+        EXPECT_EQ(expected, "set(50, 200)");
+      }
+
+      Answer complete = world.mediator.query(query);
+      ASSERT_TRUE(complete.complete());
+      EXPECT_FALSE(complete.stats().local_mode);
+      EXPECT_EQ(complete.data().to_oql(), expected);
+
+      world.mediator.network().set_availability(
+          "r1", net::Availability::always_down());
+      Answer partial = world.mediator.query(query);
+      ASSERT_FALSE(partial.complete());
+      EXPECT_TRUE(partial.distinct());
+      EXPECT_EQ(partial.to_oql().rfind("distinct(", 0), 0u)
+          << partial.to_oql();
+      world.mediator.network().set_availability(
+          "r1", net::Availability::always_up());
+      Answer resubmitted = world.mediator.query(partial.to_oql());
+      ASSERT_TRUE(resubmitted.complete()) << partial.to_oql();
+      EXPECT_EQ(resubmitted.data().to_oql(), expected) << partial.to_oql();
+
+      // The session re-runs only the residual and merges its items with
+      // the first run's.
+      world.mediator.network().set_availability(
+          "r1", net::Availability::always_down());
+      session::SessionOptions session_options;
+      session_options.retry_interval_s = 0.002;
+      session::ResubmissionManager manager(
+          [&](const std::string& text, double) {
+            return world.mediator.query(text);
+          },
+          session_options);
+      session::QueryHandle handle = manager.submit(query);
+      ASSERT_TRUE([&] {
+        for (int i = 0; i < 2000; ++i) {
+          if (handle.resubmissions() >= 1) return true;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return false;
+      }());
+      EXPECT_EQ(handle.snapshot().to_oql().rfind("distinct(", 0), 0u);
+      world.mediator.network().set_availability(
+          "r1", net::Availability::always_up());
+      manager.notify_recovery();
+      Answer merged = handle.wait();
+      ASSERT_TRUE(merged.complete());
+      EXPECT_EQ(merged.data().to_oql(), expected);
+    }
+  }
+}
+
+/// A csv and a kv source of `rows` Person rows each (salary = id % 50),
+/// both get-only for a salary range: every row ships.
+struct BulkWorld {
+  explicit BulkWorld(Mediator::Options options = {}, int rows = 60,
+                     bool mixed_salaries = false)
+      : mediator(options) {
+    mediator.execute_odl(R"(
+      interface Person (extent person) {
+        attribute Long id;
+        attribute String name;
+        attribute Double salary; };
+    )");
+    std::string text = "id,name,salary\n";
+    kvstore::KvCollection& people = kv.create_collection("person1", "id");
+    for (int r = 0; r < rows; ++r) {
+      const int pay = r % 50;
+      text += std::to_string(r) + ",c" + std::to_string(r) + "," +
+              std::to_string(pay) + "\n";
+      // Mixed: odd rows carry a Double salary, a type fight in a batch.
+      people.put(Value::strct(
+          {{"id", Value::integer(r)},
+           {"name", Value::string("k" + std::to_string(r))},
+           {"salary", mixed_salaries && r % 2 == 1 ? Value::real(pay + 0.5)
+                                                   : Value::integer(pay)}}));
+    }
+    auto csv_wrapper = std::make_shared<wrapper::CsvWrapper>();
+    csv_wrapper->attach_table("rc", csv::parse_csv("person0", text));
+    auto kv_wrapper = std::make_shared<wrapper::KvWrapper>();
+    kv_wrapper->attach_store("rk", &kv);
+    mediator.register_wrapper("wc", std::move(csv_wrapper));
+    mediator.register_wrapper("wk", std::move(kv_wrapper));
+    mediator.register_repository(catalog::Repository{"rc", "", "", ""});
+    mediator.register_repository(catalog::Repository{"rk", "", "", ""});
+    mediator.execute_odl(R"(
+      extent person0 of Person wrapper wc repository rc;
+      extent person1 of Person wrapper wk repository rk;
+    )");
+  }
+
+  kvstore::KvStore kv{"kv"};
+  Mediator mediator;
+};
+
+// Get-only sources ship every row, in columns: the filter, projection,
+// hash join and count run on the replies as they arrive, and the only
+// rows ever built are the answer's. The row path (vec off) never sees a
+// batch, leaf replies included.
+TEST(MediatorTest, GetOnlyRepliesBuildOnlyTheAnswerRows) {
+  BulkWorld world;
+  const char* queries[] = {
+      "select x.name from x in person where x.salary < 20",
+      "select struct(i: x.id, s: x.salary) from x in person "
+      "where x.salary >= 40",
+      "select struct(c: x.name, k: y.name) from x in person0, "
+      "y in person1 where x.id = y.id and x.salary < 10",
+  };
+  for (const char* query : queries) {
+    Answer a = world.mediator.query(query);
+    ASSERT_TRUE(a.complete()) << query;
+    const physical::RunStats& run = a.stats().run;
+    EXPECT_EQ(run.rows_fetched, 120u) << query;
+    EXPECT_EQ(run.vec_leaf_batches, 2u) << query;
+    EXPECT_EQ(run.vec_converted_batches, 0u) << query;
+    EXPECT_EQ(run.vec_fallbacks, 0u) << query;
+    EXPECT_GT(a.data().size(), 0u) << query;
+    EXPECT_LT(a.data().size(), 120u) << query;
+    EXPECT_EQ(run.rows_rebuilt, a.data().size()) << query;
+  }
+  Answer count =
+      world.mediator.query("count(select x from x in person where x.id < 7)");
+  EXPECT_EQ(count.data(), Value::integer(14));
+  EXPECT_EQ(count.stats().run.rows_rebuilt, 0u);
+
+  const Mediator::ExplainReport report =
+      world.mediator.explain_report(queries[0]);
+  for (const char* leaf : {"exec rc -> vec (columnar reply)",
+                           "exec rk -> vec (columnar reply)"}) {
+    EXPECT_NE(std::find(report.vec_ops.begin(), report.vec_ops.end(), leaf),
+              report.vec_ops.end())
+        << leaf;
+  }
+
+  Mediator::Options row_path;
+  row_path.vec.enabled = false;
+  BulkWorld reference(row_path);
+  Answer rows = reference.mediator.query(queries[0]);
+  EXPECT_EQ(rows.data(), world.mediator.query(queries[0]).data());
+  EXPECT_EQ(rows.stats().run.vec_batches, 0u);
+  EXPECT_EQ(rows.stats().run.vec_leaf_batches, 0u);
+}
+
+// A kv reply whose salary column mixes Int and Double inside a batch
+// comes back as rows (a fallback); with one-row batches the filter can
+// still convert it, and RunStats tells those converted batches from the
+// csv leaf's own.
+TEST(MediatorTest, RunStatsTellLeafBatchesFromConvertedInput) {
+  Mediator::Options options;
+  options.vec.batch_rows = 1;
+  BulkWorld world(options, 10, /*mixed_salaries=*/true);
+  Answer a =
+      world.mediator.query("select x.id from x in person where x.salary < 3");
+  ASSERT_TRUE(a.complete());
+  const physical::RunStats& run = a.stats().run;
+  EXPECT_EQ(run.vec_leaf_batches, 1u);  // csv: one reply batch
+  EXPECT_EQ(run.vec_converted_batches, 10u);  // kv: ten 1-row batches
+  EXPECT_GE(run.vec_fallbacks, 1u);
+  EXPECT_EQ(a.data().size(), 6u);  // csv 0, 1, 2; kv 0, 1 (1.5), 2
 }
 
 }  // namespace

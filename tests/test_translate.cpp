@@ -139,29 +139,29 @@ TEST_F(TranslateTest, AggregatesPlanTheirCollection) {
   TranslationUnit select = run("sum(select x.salary from x in person)");
   ASSERT_TRUE(select.is_plan_mode());
   ASSERT_TRUE(select.aggregate.has_value());
-  EXPECT_EQ(select.aggregate->fn, Aggregate::Sum);
-  EXPECT_FALSE(select.aggregate->distinct);
+  EXPECT_EQ(*select.aggregate, Aggregate::Sum);
+  EXPECT_FALSE(select.distinct);
   EXPECT_EQ(select.plan->children.size(), 2u);  // one branch per extent
   EXPECT_TRUE(select.aux.empty());
 
   TranslationUnit extent = run("count(person)");
   ASSERT_TRUE(extent.is_plan_mode());
   ASSERT_TRUE(extent.aggregate.has_value());
-  EXPECT_EQ(extent.aggregate->fn, Aggregate::Count);
+  EXPECT_EQ(*extent.aggregate, Aggregate::Count);
   EXPECT_EQ(extent.plan->children.size(), 2u);
   EXPECT_EQ(extent.prune.extents_considered, 2u);
 
   TranslationUnit closure = run("max(person*)");
   ASSERT_TRUE(closure.is_plan_mode());
   ASSERT_TRUE(closure.aggregate.has_value());
-  EXPECT_EQ(closure.aggregate->fn, Aggregate::Max);
+  EXPECT_EQ(*closure.aggregate, Aggregate::Max);
 
   // Each branch of a distinct select is distinct, their union is not:
   // the reduction collapses the whole answer first.
   TranslationUnit distinct =
       run("count(select distinct x.salary from x in person)");
   ASSERT_TRUE(distinct.aggregate.has_value());
-  EXPECT_TRUE(distinct.aggregate->distinct);
+  EXPECT_TRUE(distinct.distinct);
 
   // Not one of the five aggregates: local mode, as before.
   EXPECT_FALSE(run("element(select x from x in person0)").is_plan_mode());

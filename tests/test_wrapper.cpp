@@ -60,8 +60,8 @@ TEST_F(MemDbWrapperTest, GetReturnsEnvStructs) {
                                         bindings_);
   ASSERT_EQ(result.status, SubmitResult::Status::Ok);
   EXPECT_EQ(wrapper_.last_sql(), "SELECT * FROM person0 x");
-  ASSERT_EQ(result.data.size(), 2u);
-  const Value& env = result.data.items()[0];
+  ASSERT_EQ(result.bag().size(), 2u);
+  const Value env = result.bag().items()[0];
   EXPECT_EQ(env.field("x").field("name"), Value::string("Mary"));
 }
 
@@ -72,7 +72,7 @@ TEST_F(MemDbWrapperTest, SelectPushdownTranslatesPredicate) {
   ASSERT_EQ(result.status, SubmitResult::Status::Ok);
   EXPECT_EQ(wrapper_.last_sql(),
             "SELECT * FROM person0 x WHERE x.salary > 10");
-  EXPECT_EQ(result.data.size(), 2u);
+  EXPECT_EQ(result.bag().size(), 2u);
 }
 
 TEST_F(MemDbWrapperTest, ScalarProjection) {
@@ -84,7 +84,7 @@ TEST_F(MemDbWrapperTest, ScalarProjection) {
   ASSERT_EQ(result.status, SubmitResult::Status::Ok);
   EXPECT_EQ(wrapper_.last_sql(),
             "SELECT x.name FROM person0 x WHERE x.salary > 100");
-  EXPECT_EQ(result.data, Value::bag({Value::string("Mary")}));
+  EXPECT_EQ(result.bag(), Value::bag({Value::string("Mary")}));
 }
 
 TEST_F(MemDbWrapperTest, StructProjection) {
@@ -94,9 +94,9 @@ TEST_F(MemDbWrapperTest, StructProjection) {
               parse("struct(n: x.name, s: x.salary)"), false),
       bindings_);
   ASSERT_EQ(result.status, SubmitResult::Status::Ok);
-  ASSERT_EQ(result.data.size(), 2u);
-  EXPECT_EQ(result.data.items()[0].field("n"), Value::string("Mary"));
-  EXPECT_EQ(result.data.items()[0].field("s"), Value::integer(200));
+  ASSERT_EQ(result.bag().size(), 2u);
+  EXPECT_EQ(result.bag().items()[0].field("n"), Value::string("Mary"));
+  EXPECT_EQ(result.bag().items()[0].field("s"), Value::integer(200));
 }
 
 TEST_F(MemDbWrapperTest, JoinPushdown) {
@@ -108,8 +108,8 @@ TEST_F(MemDbWrapperTest, JoinPushdown) {
   ASSERT_EQ(result.status, SubmitResult::Status::Ok);
   EXPECT_EQ(wrapper_.last_sql(),
             "SELECT * FROM person0 x, dept0 y WHERE x.id = y.pid");
-  ASSERT_EQ(result.data.size(), 1u);
-  const Value& env = result.data.items()[0];
+  ASSERT_EQ(result.bag().size(), 1u);
+  const Value env = result.bag().items()[0];
   EXPECT_EQ(env.field("x").field("name"), Value::string("Mary"));
   EXPECT_EQ(env.field("y").field("dept"), Value::string("cs"));
 }
@@ -127,9 +127,9 @@ TEST_F(MemDbWrapperTest, TypeMapAppliedBothWays) {
   // Mediator name `s` crossed the boundary as source name `salary`.
   EXPECT_EQ(wrapper_.last_sql(),
             "SELECT * FROM person0 x WHERE x.salary > 100");
-  ASSERT_EQ(result.data.size(), 1u);
+  ASSERT_EQ(result.bag().size(), 1u);
   // Source attributes came back renamed to mediator names.
-  EXPECT_EQ(result.data.items()[0].field("x").field("n"),
+  EXPECT_EQ(result.bag().items()[0].field("x").field("n"),
             Value::string("Mary"));
 }
 
@@ -200,7 +200,7 @@ TEST_F(MemDbWrapperTest, StringPredicateQuoting) {
   ASSERT_EQ(result.status, SubmitResult::Status::Ok);
   EXPECT_EQ(wrapper_.last_sql(),
             "SELECT * FROM person0 x WHERE x.name = \"Mary\"");
-  EXPECT_EQ(result.data.size(), 1u);
+  EXPECT_EQ(result.bag().size(), 1u);
 }
 
 // ------------------------------------------------------------------- csv ---
@@ -216,8 +216,8 @@ TEST(CsvWrapperTest, GetOnly) {
 
   SubmitResult ok = wrapper.submit(repo, get("water", "m"), bindings);
   ASSERT_EQ(ok.status, SubmitResult::Status::Ok);
-  ASSERT_EQ(ok.data.size(), 1u);
-  EXPECT_EQ(ok.data.items()[0].field("m").field("ph"), Value::real(7.1));
+  ASSERT_EQ(ok.bag().size(), 1u);
+  EXPECT_EQ(ok.bag().items()[0].field("m").field("ph"), Value::real(7.1));
 
   SubmitResult refused = wrapper.submit(
       repo, filter(get("water", "m"), parse("m.ph > 7")), bindings);
@@ -234,7 +234,7 @@ TEST(CsvWrapperTest, MapRenamesColumns) {
   bindings["measurements"] = ExtentBinding{"water", &map};
   SubmitResult ok = wrapper.submit(repo, get("measurements", "m"), bindings);
   ASSERT_EQ(ok.status, SubmitResult::Status::Ok);
-  EXPECT_EQ(ok.data.items()[0].field("m").field("acidity"),
+  EXPECT_EQ(ok.bag().items()[0].field("m").field("acidity"),
             Value::real(7.1));
 }
 
@@ -340,7 +340,7 @@ class WrapperBoundary : public ::testing::Test {
         continue;
       }
       ASSERT_EQ(result.status, SubmitResult::Status::Ok) << result.detail;
-      EXPECT_EQ(result.data, expected);
+      EXPECT_EQ(result.bag(), expected);
     }
   }
 
